@@ -23,6 +23,7 @@ def _setup():
 
 def test_a5_monolithic_pre_image(benchmark):
     sym, target = _setup()
+    sym.prefer_partitions = False  # pin pre_image to the monolithic product
 
     def run():
         sym.bdd.clear_caches()

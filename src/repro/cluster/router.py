@@ -311,11 +311,21 @@ class RouterManager:
         return self._document(job)
 
     def _refresh(self, job: _RoutedJob) -> None:
-        """Poll every non-terminal slice concurrently."""
+        """Poll every slice whose outcome has not landed, concurrently.
+
+        That is every non-terminal slice, and every ``done`` one still
+        without reports: a shard that replays a whole slice from its
+        store answers the submit with a 202 that already says ``done``
+        but carries no reports.
+        """
         live = [
             p
             for p in job.parts
-            if p.job_id is not None and p.state not in TERMINAL_STATES
+            if p.job_id is not None
+            and (
+                p.state not in TERMINAL_STATES
+                or (p.state == "done" and p.reports is None)
+            )
         ]
         if not live:
             return

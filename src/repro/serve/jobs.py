@@ -516,6 +516,7 @@ class JobManager:
         # flags worker-side span recording and grafts the worker trees
         # back under the open check span, all sharing job.trace_id.
         tracer = Tracer(enabled=self.trace_requests)
+        state = "failed"  # unless the checks below all complete
         check_seconds = 0.0
         serialize_seconds = 0.0
         reports: list[dict] = []
@@ -604,19 +605,18 @@ class JobManager:
                             seconds=round(check_span.duration, 6),
                         )
                 job.reports = reports
-                job.state = "done"
+                state = "done"
                 self.metrics.add("serve.jobs_completed")
             except ParallelError as exc:
                 job.error = str(exc)
-                job.state = "timeout" if "timed out" in str(exc) or "deadline" in str(exc) else "failed"
+                state = "timeout" if "timed out" in str(exc) or "deadline" in str(exc) else "failed"
                 self.metrics.add(
                     "serve.jobs_timeout"
-                    if job.state == "timeout"
+                    if state == "timeout"
                     else "serve.jobs_failed"
                 )
             except Exception as exc:  # parse/elaboration/check errors
                 job.error = f"{type(exc).__name__}: {exc}"
-                job.state = "failed"
                 self.metrics.add("serve.jobs_failed")
             finally:
                 job.finished = time.time()
@@ -624,6 +624,13 @@ class JobManager:
                     "serve.job_seconds",
                     (job.finished - (job.started or job.finished)),
                 )
+                self._finish_observations(
+                    job, state, tracer, queue_wait, check_seconds,
+                    serialize_seconds,
+                )
+                # published after the stamping, so a job seen terminal
+                # already carries its timings and trace
+                job.state = state
                 if job.progress is not None:
                     scheduler.unsubscribe_progress(job.id)
                     self._on_progress(
@@ -640,13 +647,11 @@ class JobManager:
                         self.store.flush_counters()
                     except OSError:
                         pass  # sidecar is best-effort; never fail a job
-                self._finish_observations(
-                    job, tracer, queue_wait, check_seconds, serialize_seconds
-                )
 
     def _finish_observations(
         self,
         job: Job,
+        state: str,
         tracer: Tracer,
         queue_wait: float,
         check_seconds: float,
@@ -687,12 +692,12 @@ class JobManager:
         event = {
             "done": "job.done",
             "timeout": "job.timeout",
-        }.get(job.state, "job.failed")
-        level = "info" if job.state == "done" else "error"
+        }.get(state, "job.failed")
+        level = "info" if state == "done" else "error"
         self.log.event(
             event,
             level=level,
-            state=job.state,
+            state=state,
             error=job.error,
             checks=len(job.requests),
             spans=len(job.trace) if job.trace else 0,

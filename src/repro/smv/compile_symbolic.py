@@ -1,15 +1,18 @@
 """Symbolic compilation: :class:`SmvModel` → :class:`SymbolicSystem`.
 
-The transition relation is built as a conjunction of per-variable
-constraints (conjunctive structure, monolithically conjoined by default)::
+The transition relation is built once, as the balanced conjunction of
+one partition per variable::
 
-    T  =  ⋀_v  ⋁_{val ∈ values(rhs_v)}  possible(rhs_v, val) ∧ (v' = val)
+    P_v  =  valid ∧ ⋁_{val ∈ values(rhs_v)} possible(rhs_v, val) ∧ (v' = val)
+            ∨  ¬valid ∧ frame(v)
+    T    =  ⋀_v  P_v
 
 Free variables contribute the constraint that their next value is any
-domain value.  Junk bit patterns (outside every variable's domain) are
-given self-loops so the relation stays total over the full boolean state
+domain value.  Junk bit patterns (outside every variable's domain) get
+self-loops so the relation stays total over the full boolean state
 space; they are unreachable from valid states and excluded from checks by
-the validity initial condition.
+the validity initial condition.  Guards read current atoms only, so the
+relation is total exactly when each ``∃ v'. P_v`` is.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def to_symbolic(
     sym = SymbolicSystem(model.encoding.atoms)
     bdd = sym.bdd
     valid = prop_to_bdd(bdd, model.valid_formula())
-    t = TRUE
+    invalid = bdd.negate(valid)
     partitions: list[int] = []
     for var in model.variables:
         rhs = model.next_assign.get(var.name)
@@ -60,43 +63,37 @@ def to_symbolic(
                 }
             )
             constraint = bdd.apply("or", constraint, bdd.apply("and", guard, target))
-        t = bdd.apply("and", t, constraint)
-        # conjunctive partition member: the variable's constraint on valid
-        # states, the variable's stutter on junk states — the conjunction
-        # over all variables equals the monolithic relation exactly
-        frame_v = sym.frame(var.bits)
-        partitions.append(
-            bdd.apply(
-                "or",
-                bdd.apply("and", valid, constraint),
-                bdd.apply("and", bdd.negate(valid), frame_v),
-            )
+        # the variable's constraint on valid states, its stutter on junk
+        # states: junk bit patterns only self-loop, which keeps them total
+        # and stops a guard like `failure : nocall` from "repairing" one
+        # (a transition no finite-domain state has)
+        partition = bdd.apply(
+            "or",
+            bdd.apply("and", valid, constraint),
+            bdd.apply("and", invalid, sym.frame(var.bits)),
         )
-    # junk states (invalid bit patterns) are inert: they only self-loop.
-    # This keeps the relation total and matches the conjunctive partition
-    # exactly (without the masking, a guard like `failure : nocall` could
-    # "repair" a junk state — transitions that no finite-domain state has).
-    if valid != TRUE:
-        junk_loop = bdd.apply("and", bdd.negate(valid), sym.identity_relation())
-        t = bdd.apply("or", bdd.apply("and", valid, t), junk_loop)
-    sym.set_transition(t, reflexive=reflexive)
+        # guards read current atoms only, so the partitions' next-state
+        # supports are disjoint and ∃x'. ⋀_v P_v = ⋀_v ∃v'. P_v: the
+        # relation is total iff every partition is
+        if not reflexive and bdd.exists(map(primed, var.bits), partition) != TRUE:
+            raise ElaborationError(
+                f"module {model.name!r}: some state has no successor — a case "
+                f"expression without a default '1 :' branch falls through"
+            )
+        partitions.append(partition)
+    sym.set_transition(bdd.conj(partitions), reflexive=reflexive)
     if not reflexive:
         # the partition does not include the stutter closure, so it is
         # only installed for the raw (SMV-faithful) relation
         sym.partitions = partitions
-        # with a real conjunctive split, early quantification beats the
-        # monolithic relational product (measured ~4x on the AFS-2
-        # server, benchmarks/bench_ablation_partitioned_relation.py)
+        # not yet a measured win everywhere: on the AFS-2 server with a
+        # one-atom target (2-core Xeon) the partitioned image takes about
+        # 2x the monolithic one at n=2, par at n=3, a third at n=4
         sym.prefer_partitions = len(partitions) >= 2
     if bdd.reorder_mode == "sift":
         # sift once, after the relation and its partitions exist — the
         # "auto" mode instead re-sifts whenever the table doubles
         sym.reorder()
-    if not sym.is_total():
-        raise ElaborationError(
-            f"module {model.name!r}: some state has no successor — a case "
-            f"expression without a default '1 :' branch falls through"
-        )
     return sym
 
 

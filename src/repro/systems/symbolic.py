@@ -72,8 +72,8 @@ class SymbolicSystem:
         #: whenever it emits a real conjunctive split (≥ 2 partitions).
         self.prefer_partitions: bool = False
         #: Cached quantification schedule for :meth:`pre_image_partitioned`
-        #: (per-partition next-var supports + suffix unions), invalidated
-        #: when :attr:`partitions` is replaced.
+        #: (per-partition next variables to quantify), invalidated when
+        #: :attr:`partitions` is replaced.
         self._partition_schedule: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -180,51 +180,43 @@ class SymbolicSystem:
         """Pre-image via the conjunctive partition with early quantification.
 
         Conjoins the per-variable transition constraints one by one,
-        existentially quantifying each next-state variable as soon as no
-        remaining partition mentions it (the IWLS95-style schedule in its
-        simplest form).  Avoids ever building the monolithic relation.
+        existentially quantifying each next-state variable in the same
+        relational product as the last partition that mentions it (the
+        IWLS95-style schedule in its simplest form).  The schedule is
+        static — see :meth:`_quantification_schedule` — so an image step
+        never walks a BDD just to find its support, and the monolithic
+        relation is never needed.
         """
         if not self.partitions:
             raise SystemError_("system has no conjunctive partition")
         bdd = self.bdd
-        next_vars = {primed(a) for a in self.atoms}
-        supports, laters = self._quantification_schedule(next_vars)
         acc = bdd.rename(s, {a: primed(a) for a in self.atoms})
-        for partition, support, later in zip(
-            self.partitions, supports, laters
-        ):
-            quantifiable = sorted((bdd.support(acc) | support) & next_vars - later)
-            acc = bdd.and_exists(acc, partition, quantifiable)
-        leftovers = sorted(bdd.support(acc) & next_vars)
-        if leftovers:
-            acc = bdd.exists(leftovers, acc)
+        for partition, names in zip(self.partitions, self._quantification_schedule()):
+            acc = bdd.and_exists(acc, partition, names)
         return acc
 
-    def _quantification_schedule(
-        self, next_vars: set[str]
-    ) -> tuple[list[set[str]], list[set[str]]]:
-        """Per-partition next-var supports and suffix unions (cached).
+    def _quantification_schedule(self) -> list[list[str]]:
+        """Next-state variables to quantify at each partition (cached).
 
-        The partitions are fixed BDDs, so their supports — and the
-        "variables still needed by a later partition" suffix unions that
-        gate early quantification — are computed once, not per
-        pre-image call.
+        Step ``i`` quantifies the next variables partition ``i`` mentions
+        and no later partition does; step 0 also takes every next
+        variable no partition mentions (only the target can).  The lists
+        depend on the partitions' supports alone, so they are computed
+        once per :attr:`partitions` object.
         """
         cached = self._partition_schedule
         if cached is not None and cached[0] is self.partitions:
-            return cached[1], cached[2]
+            return cached[1]
         assert self.partitions is not None
-        supports = [
-            self.bdd.support(p) & next_vars for p in self.partitions
-        ]
-        laters: list[set[str]] = []
-        suffix: set[str] = set()
-        for support in reversed(supports):
-            laters.append(set(suffix))
-            suffix |= support
-        laters.reverse()
-        self._partition_schedule = (self.partitions, supports, laters)
-        return supports, laters
+        unmentioned = {primed(a) for a in self.atoms}
+        steps: list[set[str]] = []
+        for partition in reversed(self.partitions):
+            steps.append(self.bdd.support(partition) & unmentioned)
+            unmentioned -= steps[-1]
+        steps[-1] |= unmentioned
+        schedule = [sorted(names) for names in reversed(steps)]
+        self._partition_schedule = (self.partitions, schedule)
+        return schedule
 
     def post_image(self, s: int) -> int:
         """States reachable from ``S`` in one R-step."""

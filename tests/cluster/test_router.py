@@ -1,7 +1,9 @@
 """The router front end over real serving instances on loopback."""
 
+import json
 import socket
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -145,10 +147,18 @@ class TestFailover:
         router_thread.start()
         client = ServeClient(f"http://127.0.0.1:{router.port}")
         try:
-            # enough checks that some certainly hash to the dead member
+            # two checks the dead member owns and two the live one owns,
+            # whatever ports the ring was built from
+            sources = [GOOD + f"-- v{i}\n" for i in range(64)]
+            owners = [
+                config.ring.owner(request_fingerprint({"source": s}))
+                for s in sources
+            ]
+            picked = [s for s, o in zip(sources, owners) if o == dead][:2]
+            picked += [s for s, o in zip(sources, owners) if o != dead][:2]
             checks = [
-                {"source": GOOD + f"-- v{i}\n", "label": f"c{i}"}
-                for i in range(4)
+                {"source": source, "label": f"c{i}"}
+                for i, source in enumerate(picked)
             ]
             assert any(
                 config.ring.owner(request_fingerprint(c)) == dead
@@ -170,4 +180,61 @@ class TestFailover:
             server.shutdown()
             server.server_close()
             manager.stop()
+            thread.join(timeout=10)
+
+
+class _DoneOnSubmitShard(BaseHTTPRequestHandler):
+    """A shard whose submit 202 already says ``done`` (a store replay)."""
+
+    protocol_version = "HTTP/1.1"
+    polls = 0
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        pass
+
+    def _reply(self, payload: dict, status: int = 200) -> None:
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        length = int(self.headers.get("Content-Length", "0"))
+        self.rfile.read(length)
+        self._reply(
+            {"id": "0123abcd", "state": "done", "checks": 1, "trace_id": ""},
+            status=202,
+        )
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        type(self).polls += 1
+        self._reply(
+            {"id": "0123abcd", "state": "done", "reports": [{"label": "c0"}]}
+        )
+
+
+class TestDoneOnSubmit:
+    def test_reports_of_a_done_202_are_fetched(self):
+        """A slice accepted as ``done`` is polled once for its reports
+        instead of leaving the routed job ``running`` for ever."""
+        _DoneOnSubmitShard.polls = 0
+        shard = ThreadingHTTPServer(("127.0.0.1", 0), _DoneOnSubmitShard)
+        thread = threading.Thread(target=shard.serve_forever, daemon=True)
+        thread.start()
+        try:
+            manager = RouterManager(
+                RingConfig.parse(f"127.0.0.1:{shard.server_address[1]}"),
+                timeout=5.0,
+            )
+            job = manager.submit([{"source": GOOD, "label": "c0"}], None)
+            document = manager.get(job.id)
+            assert document["state"] == "done"
+            assert document["reports"] == [{"label": "c0"}]
+            assert manager.get(job.id)["state"] == "done"
+            assert _DoneOnSubmitShard.polls == 1  # landed reports stop polling
+        finally:
+            shard.shutdown()
+            shard.server_close()
             thread.join(timeout=10)

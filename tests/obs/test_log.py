@@ -180,15 +180,22 @@ class TestRotation:
 
     def test_reopened_log_counts_existing_bytes(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        first = EventLog(path=path, max_bytes=300)
+        # a fixed clock fixes the width of `ts`, so every line has the
+        # same length on every run and so does the rotation decision
+        first = EventLog(path=path, clock=lambda: 1.0, max_bytes=300)
         first.event("seed", payload="x" * 120)
         first.close()
         size = path.stat().st_size
-        second = EventLog(path=path, max_bytes=300)
+        second = EventLog(path=path, clock=lambda: 1.0, max_bytes=300)
         second.event("next", payload="y" * 120)
         second.close()
-        # the reopened log resumed byte accounting from the existing file
+        # the reopened log resumed byte accounting from the existing file,
+        # so the second line did not fit beside the first and rotated it
+        assert 2 * size > 300
         assert second._written >= size
+        assert [e["event"] for e in read_events(path)] == ["next"]
+        rotated = tmp_path / "events.jsonl.1"
+        assert [e["event"] for e in read_events(rotated)] == ["seed"]
 
 
 class TestFormatting:

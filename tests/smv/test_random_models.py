@@ -27,6 +27,7 @@ from repro.smv.compile_explicit import to_system
 from repro.smv.compile_symbolic import to_symbolic
 from repro.smv.elaborate import SmvModel
 from repro.smv.simulate import simulate
+from repro.systems.symbolic import primed
 
 _DOMAINS = {
     "v0": ("a", "b"),
@@ -140,8 +141,15 @@ def test_partitioned_pre_image_exact_on_random_models(module):
     for name in sym.atoms[1:]:
         xor = bdd.apply("xor", xor, bdd.var(name))
     targets.append(xor)
+    next_vars = [primed(a) for a in sym.atoms]
     for target in targets:
-        assert sym.pre_image_partitioned(target) == sym.pre_image(target)
+        # the monolithic relational product, independent of the partitions
+        mono = bdd.and_exists(
+            sym.transition,
+            bdd.rename(target, {a: primed(a) for a in sym.atoms}),
+            next_vars,
+        )
+        assert sym.pre_image_partitioned(target) == mono
 
 
 @given(modules())

@@ -28,6 +28,16 @@ def _sym():
     return to_symbolic(SmvModel(parse_module(MODEL)))
 
 
+def _monolithic_pre_image(sym, target):
+    """``∃x'. T ∧ target'`` over the whole relation, not its partitions."""
+    bdd = sym.bdd
+    return bdd.and_exists(
+        sym.transition,
+        bdd.rename(target, {a: primed(a) for a in sym.atoms}),
+        [primed(a) for a in sym.atoms],
+    )
+
+
 class TestPartitionStructure:
     def test_one_partition_per_variable(self):
         sym = _sym()
@@ -93,12 +103,30 @@ class TestPartitionedPreImage:
         targets += [bdd.negate(t) for t in list(targets)]
         targets.append(sym.bdd.conj(bdd.var(a) for a in sym.atoms))
         for target in targets:
-            mono = bdd.and_exists(
-                sym.transition,
-                bdd.rename(target, {a: primed(a) for a in sym.atoms}),
-                [primed(a) for a in sym.atoms],
+            assert sym.pre_image_partitioned(target) == _monolithic_pre_image(
+                sym, target
             )
-            assert sym.pre_image_partitioned(target) == mono
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_afs2_server_pre_images_agree(self, n):
+        """The static quantification schedule against the monolithic
+        relational product on the AFS-2 server, n = 2..4."""
+        from repro.casestudies.afs2 import server_source
+
+        sym = to_symbolic(SmvModel(parse_module(server_source(n))))
+        assert len(sym.partitions) >= 2
+        bdd = sym.bdd
+        targets = [bdd.var(a) for a in sym.atoms]
+        targets += [bdd.negate(t) for t in list(targets)]
+        xor = bdd.var(sym.atoms[0])
+        for atom_name in sym.atoms[1:]:
+            xor = bdd.apply("xor", xor, bdd.var(atom_name))
+        targets.append(xor)
+        targets.append(bdd.conj(bdd.var(a) for a in sym.atoms))
+        for target in targets:
+            assert sym.pre_image_partitioned(target) == _monolithic_pre_image(
+                sym, target
+            )
 
     def test_missing_partition_raises(self):
         plain = SymbolicSystem({"a"})
