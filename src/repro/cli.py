@@ -559,7 +559,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     API, with each check routed to its owner shard on the consistent-
     hash ring and the results fanned back into one job document.
     ``status`` probes every ring member (``/healthz`` + a federated
-    ``/metrics`` scrape) and renders a live per-shard table — health,
+    ``/v1/metrics`` scrape) and renders a live per-shard table — health,
     queue depth, store hit rate, breaker state, stalled obligations,
     ring ownership share — once, repeatedly with ``--watch``, or as
     the full JSON document with ``--json``.

@@ -63,11 +63,6 @@ class FanoutResponse:
     def ok(self) -> bool:
         return self.error is None and self.status is not None
 
-    @property
-    def text(self) -> str:
-        """The body decoded as UTF-8 (replacement on undecodable bytes)."""
-        return self.body.decode("utf-8", "replace")
-
     def json(self) -> dict | None:
         """The body decoded as JSON, or ``None`` when that fails."""
         try:

@@ -17,17 +17,22 @@ answering polls eventually fails only its own slice.  ``/healthz``
 (role ``router``) probes every member; ``/metrics`` renders routing
 counters and per-shard submit latency histograms.
 
+The HTTP side is the serve member's own: :func:`create_router` returns
+a :class:`~repro.serve.http.ReproServer` whose manager is a
+:class:`RouterManager`, plus the ``/v1/cluster/*`` routes.
+
 The router is also the cluster's observability plane:
 
-* it mints the authoritative ``trace_id`` for every submission and
-  propagates it to each shard via the ``X-Repro-Trace-Id`` header, so
+* it fixes the authoritative ``trace_id`` of every submission (a
+  well-formed inbound one, else freshly minted) and propagates it to
+  each shard via the ``X-Repro-Trace-Id`` header, so
   ``GET /v1/jobs/<id>/trace`` can fetch each shard's span tree and
   graft them — rebased onto one clock, tagged with a ``shard``
   attribute — under a single synthetic ``router.job`` root span;
-* ``GET /metrics`` appends the *federated* cluster document (scrape
-  every member, sum counters and histogram buckets, max peaks) to the
+* ``GET /metrics`` adds the *federated* cluster document to the
   router's own counters, with ``GET /v1/cluster/metrics`` as its JSON
-  twin;
+  twin: every member's ``GET /v1/metrics`` registry, folded with
+  :meth:`~repro.obs.metrics.MetricsRegistry.merge` and rendered once;
 * ``GET /v1/jobs/<id>/events`` multiplexes every owner shard's SSE
   stream into one ordered, shard-tagged stream with ``Last-Event-ID``
   resume.
@@ -39,28 +44,34 @@ The router is also the cluster's observability plane:
 
 from __future__ import annotations
 
-import json
-import re
 import threading
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
+from dataclasses import asdict, dataclass
 
 from repro.cluster.fanout import FanoutRequest, FanoutResponse, fanout
 from repro.cluster.peers import CircuitBreaker, peer_metric_name
 from repro.cluster.ring import RingConfig, request_fingerprint
-from repro.obs.export import to_jsonl_records, to_prometheus_text
+from repro.obs.export import (
+    build_info_text,
+    prometheus_samples,
+    to_jsonl_records,
+    to_prometheus_text,
+)
 from repro.obs.merge import graft_records
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressBus
-from repro.obs.promtext import Federation, federate_scrapes
 from repro.obs.tracer import TraceContext, Tracer
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.http import serve_progress_stream
-from repro.serve.jobs import JobRequest, TERMINAL_STATES
+from repro.serve.http import ReproServer
+from repro.serve.jobs import (
+    TERMINAL_STATES,
+    JobRequest,
+    QueueFullError,
+    ServeError,
+)
 
-__all__ = ["RouterManager", "RouterServer", "create_router"]
+__all__ = ["Federation", "RouterManager", "create_router", "federate"]
 
 #: Consecutive failed polls of one shard sub-job before its slice is
 #: declared failed (a dead *executing* shard fails only its own checks).
@@ -75,8 +86,6 @@ _STATE_PRECEDENCE = (
     "queued",
     "done",
 )
-
-_JOB_ID_RE = re.compile(r"^[0-9a-f]{8,32}$")
 
 
 class _Part:
@@ -114,28 +123,31 @@ class _Part:
 class _RoutedJob:
     """The router-side record of one accepted submission.
 
-    ``trace_id`` is minted here, at the edge — the router is the
-    authority for the whole cluster trace, and every shard sub-job is
-    submitted with it in ``X-Repro-Trace-Id``, so a slice that fails
-    over to another member keeps the same trace identity.  ``stream``
+    ``trace_id`` is fixed here, at the edge (the inbound
+    ``X-Repro-Trace-Id`` or a fresh one) — the router is the authority
+    for the whole cluster trace, and every shard sub-job is submitted
+    with it in ``X-Repro-Trace-Id``, so a slice that fails over to
+    another member keeps the same trace identity.  ``stream``
     is the lazily-built SSE multiplexer for ``/v1/jobs/<id>/events``.
     """
 
     __slots__ = ("id", "created", "checks", "parts", "timeout",
                  "trace_id", "stream")
 
-    def __init__(self, checks: int, timeout: float | None):
+    def __init__(self, checks: int, timeout: float | None, trace_id: str):
         self.id = uuid.uuid4().hex[:12]
         self.created = time.time()
         self.checks = checks
         self.parts: list[_Part] = []
         self.timeout = timeout
-        self.trace_id = TraceContext.mint().trace_id
+        self.trace_id = trace_id or TraceContext.mint().trace_id
         self.stream: "_JobStream | None" = None
 
 
 class RouterManager:
     """Routing state + shard health for one router process."""
+
+    store = None  # no local store: /v1/store/* answers 404
 
     def __init__(
         self,
@@ -163,6 +175,16 @@ class RouterManager:
             )
             for shard in config.shard_ids
         }
+
+    def _fan(self, urls, method: str = "GET") -> list[FanoutResponse]:
+        """One bounded fan-out of body-less requests, in ``urls`` order."""
+        return fanout(
+            [
+                FanoutRequest(url=url, method=method, timeout=self.timeout)
+                for url in urls
+            ],
+            max_parallel=self.max_parallel,
+        )
 
     # -- routing ---------------------------------------------------------
     def _route(self, checks: list[dict]) -> dict[str, _Part]:
@@ -193,15 +215,19 @@ class RouterManager:
             part.checks.append(check)
         return parts
 
-    def submit(self, checks: list[dict], timeout: float | None) -> _RoutedJob:
+    def submit(
+        self, checks: list[dict], timeout: float | None, trace_id: str = ""
+    ) -> _RoutedJob:
         """Split a batch, fan the sub-jobs out, record the routed job.
 
-        Raises ``ValueError`` when *no* shard accepted its slice — a
-        partial acceptance is not an error (the unreachable shard's
-        slice is retried once on the next preference member, then
-        surfaces as a failed slice in the aggregate document).
+        ``trace_id`` is the submission's trace identity (minted when
+        empty).  Raises :class:`~repro.serve.jobs.ServeError` (``502``)
+        when *no* shard accepted its slice — a partial acceptance is not
+        an error (the unreachable shard's slice is retried once on the
+        next preference member, then surfaces as a failed slice in the
+        aggregate document).
         """
-        job = _RoutedJob(len(checks), timeout)
+        job = _RoutedJob(len(checks), timeout, trace_id)
         parts = self._route(checks)
         self._submit_parts(job, list(parts.values()), failover=True)
         accepted = [p for p in job.parts if p.job_id is not None]
@@ -209,12 +235,37 @@ class RouterManager:
             errors = "; ".join(
                 f"{p.shard}: {p.error}" for p in job.parts if p.error
             )
-            raise ValueError(f"no shard accepted the batch ({errors})")
+            raise ServeError(
+                502, {"error": f"no shard accepted the batch ({errors})"}
+            )
         self.metrics.add("router.jobs_submitted")
         self.metrics.add("router.checks_routed", len(checks))
         with self._lock:
             self._jobs[job.id] = job
         return job
+
+    def accept(
+        self,
+        requests: list[JobRequest],
+        timeout: float | None = None,
+        trace: TraceContext | None = None,
+    ) -> dict:
+        """:meth:`submit` a validated batch; the ``202`` document."""
+        if self.draining:
+            raise QueueFullError("router is draining; not accepting jobs")
+        job = self.submit(
+            [asdict(request) for request in requests],
+            timeout,
+            trace.trace_id if trace is not None else "",
+        )
+        return {
+            "id": job.id,
+            "state": "queued",
+            "checks": job.checks,
+            "href": f"/v1/jobs/{job.id}",
+            "trace_id": job.trace_id,
+            "shards": [part.shard for part in job.parts],
+        }
 
     def _submit_parts(
         self, job: _RoutedJob, parts: list[_Part], failover: bool
@@ -301,14 +352,20 @@ class RouterManager:
         return None
 
     # -- aggregation -----------------------------------------------------
-    def get(self, job_id: str) -> dict | None:
-        """The aggregate job document, or ``None`` for unknown ids."""
+    def _known(self, job_id: str) -> _RoutedJob:
         with self._lock:
             job = self._jobs.get(job_id)
         if job is None:
-            return None
+            raise ServeError(404, {"error": "no such job"})
+        return job
+
+    def get(self, job_id: str) -> dict:
+        """The aggregate job document (``404`` as ServeError)."""
+        job = self._known(job_id)
         self._refresh(job)
         return self._document(job)
+
+    job_document = get
 
     def _refresh(self, job: _RoutedJob) -> None:
         """Poll every slice whose outcome has not landed, concurrently.
@@ -330,16 +387,7 @@ class RouterManager:
         if not live:
             return
         started = time.perf_counter()
-        responses = fanout(
-            [
-                FanoutRequest(
-                    url=f"{p.url}/v1/jobs/{p.job_id}",
-                    timeout=self.timeout,
-                )
-                for p in live
-            ],
-            max_parallel=self.max_parallel,
-        )
+        responses = self._fan(f"{p.url}/v1/jobs/{p.job_id}" for p in live)
         self.metrics.observe(
             "router.poll_seconds", time.perf_counter() - started
         )
@@ -402,23 +450,14 @@ class RouterManager:
             "shards": [part.describe() for part in job.parts],
         }
 
-    def cancel(self, job_id: str) -> dict | None:
-        """Fan ``DELETE`` to every slice; per-shard outcomes returned."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            return None
+    def cancel_job(self, job_id: str) -> dict:
+        """Fan ``DELETE`` to every slice; per-shard outcomes returned
+        (``409`` as :class:`~repro.serve.jobs.ServeError` unless every
+        slice cancelled)."""
+        job = self._known(job_id)
         live = [p for p in job.parts if p.job_id is not None]
-        responses = fanout(
-            [
-                FanoutRequest(
-                    url=f"{p.url}/v1/jobs/{p.job_id}",
-                    method="DELETE",
-                    timeout=self.timeout,
-                )
-                for p in live
-            ],
-            max_parallel=self.max_parallel,
+        responses = self._fan(
+            (f"{p.url}/v1/jobs/{p.job_id}" for p in live), method="DELETE"
         )
         cancelled = 0
         for part, response in zip(live, responses):
@@ -426,15 +465,18 @@ class RouterManager:
             if doc is not None and doc.get("state") == "cancelled":
                 part.state = "cancelled"
                 cancelled += 1
-        return {
+        result = {
             "id": job.id,
             "state": "cancelled" if cancelled == len(live) else "mixed",
             "cancelled": cancelled,
             "shards": [part.describe() for part in job.parts],
         }
+        if result["state"] != "cancelled":
+            raise ServeError(409, {**result, "error": "not fully cancellable"})
+        return result
 
     # -- distributed traces ----------------------------------------------
-    def trace(self, job_id: str) -> tuple[int, dict]:
+    def job_trace(self, job_id: str) -> dict:
         """Stitch every shard's span tree into one router-rooted trace.
 
         Fetches ``/v1/jobs/<sub-id>/trace`` from each accepted slice
@@ -442,32 +484,24 @@ class RouterManager:
         root span — each shard's spans rebased onto this process's
         clock via the payload's ``wall_origin``, stamped with a
         ``shard`` attribute, and carrying the router-minted
-        ``trace_id``.  Returns ``(http_status, payload)``: 404 for
-        unknown jobs (or when no shard produced spans), 409 while the
-        job is still running, 200 with the stitched tree otherwise.
+        ``trace_id``.  Raises :class:`~repro.serve.jobs.ServeError`:
+        404 for unknown jobs (or when no shard produced spans), 409
+        while the job is still running.
         """
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            return 404, {"error": "no such job"}
+        job = self._known(job_id)
         document = self.get(job_id)
-        assert document is not None
         if document["state"] not in TERMINAL_STATES:
-            return 409, {
-                "id": job.id,
-                "state": document["state"],
-                "error": "trace is available once the job is terminal",
-            }
+            raise ServeError(
+                409,
+                {
+                    "id": job.id,
+                    "state": document["state"],
+                    "error": "trace is available once the job is terminal",
+                },
+            )
         parts = [p for p in job.parts if p.job_id is not None]
-        responses = fanout(
-            [
-                FanoutRequest(
-                    url=f"{p.url}/v1/jobs/{p.job_id}/trace",
-                    timeout=self.timeout,
-                )
-                for p in parts
-            ],
-            max_parallel=self.max_parallel,
+        responses = self._fan(
+            f"{p.url}/v1/jobs/{p.job_id}/trace" for p in parts
         )
         tracer = Tracer(enabled=True)
         shards: dict[str, str] = {}
@@ -503,12 +537,15 @@ class RouterManager:
                 grafted += 1
         if not grafted:
             self.metrics.add("router.trace_failures")
-            return 404, {
-                "id": job.id,
-                "trace_id": job.trace_id,
-                "error": "no shard produced a trace",
-                "shards": shards,
-            }
+            raise ServeError(
+                404,
+                {
+                    "id": job.id,
+                    "trace_id": job.trace_id,
+                    "error": "no shard produced a trace",
+                    "shards": shards,
+                },
+            )
         # the synthetic root opened "now", but the grafted spans happened
         # in the past — stretch the root to cover its children so every
         # exported offset is non-negative and the root spans the whole
@@ -520,7 +557,7 @@ class RouterManager:
                           for c in children]
         )
         self.metrics.add("router.traces_stitched")
-        return 200, {
+        return {
             "id": job.id,
             "trace_id": job.trace_id,
             "spans": to_jsonl_records(tracer),
@@ -530,36 +567,20 @@ class RouterManager:
         }
 
     # -- metrics federation ----------------------------------------------
-    def scrape_members(self) -> Federation:
-        """Scrape every member's ``/metrics`` and fold them into one.
-
-        Counters and histogram buckets sum across shards, peak gauges
-        take the max, and every member's own series re-appear labelled
-        ``{shard="host:port"}``.  Unreachable members surface in the
-        federation's ``errors`` (and as the rendered
-        ``repro_cluster_scrape_errors`` gauge) — a scrape never raises.
-        """
-        responses = fanout(
-            [
-                FanoutRequest(
-                    url=f"{url}/metrics",
-                    timeout=self.timeout,
-                    headers={"Accept": "text/plain"},
-                )
-                for url in self.config.urls
-            ],
-            max_parallel=self.max_parallel,
-        )
-        scrapes: dict[str, str | None] = {}
+    def scrape_members(self) -> "Federation":
+        """Fetch every member's ``GET /v1/metrics`` registry and
+        :func:`federate` them — a scrape never raises."""
+        responses = self._fan(f"{url}/v1/metrics" for url in self.config.urls)
+        documents: dict[str, dict | None] = {}
         errors: dict[str, str] = {}
         for shard, response in zip(self.config.shard_ids, responses):
-            if response.ok and response.status == 200:
-                scrapes[shard] = response.text
-            else:
-                scrapes[shard] = None
+            documents[shard] = (
+                response.json() if response.status == 200 else None
+            )
+            if documents[shard] is None:
                 errors[shard] = response.error or f"HTTP {response.status}"
+        federation = federate(documents, errors)
         self.metrics.add("router.metric_scrapes")
-        federation = federate_scrapes(scrapes, errors=errors)
         if federation.errors:
             self.metrics.add(
                 "router.metric_scrape_errors", len(federation.errors)
@@ -569,24 +590,21 @@ class RouterManager:
     def cluster_metrics(self) -> dict:
         """The JSON twin of the federated ``/metrics`` document."""
         federation = self.scrape_members()
-        aggregates: dict[str, float] = {}
-        shards: dict[str, dict[str, float]] = {
-            shard: {} for shard in self.config.shard_ids
-        }
-        for family in federation.families:
-            for sample in family.samples:
-                shard = sample.label("shard")
-                if shard is None and not sample.labels:
-                    aggregates[sample.name] = sample.value
-                elif shard is not None and len(sample.labels) == 1:
-                    shards.setdefault(shard, {})[sample.name] = sample.value
+        members = federation.members
         return {
             "role": "router",
             "members": list(self.config.shard_ids),
             "scraped": federation.scraped,
             "errors": federation.errors,
-            "aggregates": aggregates,
-            "shards": shards,
+            "aggregates": prometheus_samples(
+                federation.aggregate, "repro_cluster"
+            ),
+            "shards": {
+                shard: prometheus_samples(members[shard])
+                if shard in members
+                else {}
+                for shard in self.config.shard_ids
+            },
         }
 
     def cluster_status(self, metrics: bool = True) -> dict:
@@ -598,13 +616,7 @@ class RouterManager:
         and its exact share of the ring keyspace.  With ``metrics=True``
         a federation scrape adds cluster-wide totals.
         """
-        responses = fanout(
-            [
-                FanoutRequest(url=f"{url}/healthz", timeout=self.timeout)
-                for url in self.config.urls
-            ],
-            max_parallel=self.max_parallel,
-        )
+        responses = self._fan(f"{url}/healthz" for url in self.config.urls)
         shares = self.config.ring.shares()
         members: dict[str, dict] = {}
         for shard, response in zip(self.config.shard_ids, responses):
@@ -671,38 +683,22 @@ class RouterManager:
         return document
 
     # -- progress streaming ----------------------------------------------
-    def events_bus(self, job_id: str) -> ProgressBus | None:
-        """The job's merged progress bus, starting the mux on first use."""
+    def job_events(self, job_id: str):
+        """The job's merged progress bus (starting the mux on first
+        use) and a current-state callable."""
+        job = self._known(job_id)
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                return None
             if job.stream is None:
                 job.stream = _JobStream(job, self.timeout)
-            return job.stream.bus
+        return job.stream.bus, lambda: self.get(job_id)["state"]
 
     # -- health ----------------------------------------------------------
-    def healthz(self) -> dict:
-        """Probe every member; the router's ``/healthz`` document."""
+    def stats(self) -> dict:
+        """The router's ``/healthz`` document: :meth:`cluster_status`'s
+        member probes (no metrics scrape) plus the router's identity."""
         from repro import __version__
 
-        responses = fanout(
-            [
-                FanoutRequest(url=f"{url}/healthz", timeout=self.timeout)
-                for url in self.config.urls
-            ],
-            max_parallel=self.max_parallel,
-        )
-        shards = {}
-        for shard, response in zip(self.config.shard_ids, responses):
-            doc = response.json() if response.ok else None
-            shards[shard] = {
-                "reachable": doc is not None,
-                "status": (doc or {}).get(
-                    "status", response.error or "unreachable"
-                ),
-                "breaker": self._breakers[shard].state,
-            }
+        status = self.cluster_status(metrics=False)
         with self._lock:
             jobs_total = len(self._jobs)
         return {
@@ -711,28 +707,123 @@ class RouterManager:
             "version": __version__,
             "uptime_seconds": round(time.time() - self.started_wall, 3),
             "jobs_total": jobs_total,
-            "ring": {
-                "members": list(self.config.shard_ids),
-                "vnodes": self.config.vnodes,
-            },
-            "shards": shards,
+            "ring": status["ring"],
+            "shards": status["members"],
         }
 
-    def metrics_text(self) -> str:
-        """Router counters followed by the federated cluster document.
+    def registry(self) -> MetricsRegistry:
+        """The router's own counters (``GET /v1/metrics``)."""
+        return self.metrics
 
-        The router's own series use ``router.*`` names while the
-        federation emits ``repro_cluster_*`` aggregates and
-        ``{shard=...}``-labelled member series, so the two sections
-        never collide in one scrape.
-        """
-        return to_prometheus_text(self.metrics) + self.scrape_members().render()
+    def metrics_text(self) -> str:
+        """Router counters and the federated document, rendered as one."""
+        return self.scrape_members().render(self.metrics)
 
     # -- lifecycle (serve_forever compatibility) -------------------------
     def drain(self, timeout: float | None = None) -> bool:
         """Routers hold no queue; draining just stops intake."""
         self.draining = True
         return True
+
+
+def federate(
+    documents: dict[str, dict | None], errors: dict[str, str] | None = None
+) -> "Federation":
+    """Fold members' ``GET /v1/metrics`` documents (``None`` for a
+    failed scrape, ``errors`` saying why) into one :class:`Federation`.
+
+    A failed scrape, a document that is not a registry, or a histogram
+    whose bounds disagree with earlier members' (that family only stays
+    out) lands in ``errors``; nothing raises.
+    """
+    federation = Federation(MetricsRegistry(), {}, {}, dict(errors or {}))
+    for shard, doc in documents.items():
+        if doc is None:
+            federation.errors.setdefault(shard, "scrape failed")
+            continue
+        try:
+            member = MetricsRegistry.from_dict(doc)
+            scoped = MetricsRegistry.from_dict(_cluster_scoped(doc))
+            identity = dict(doc.get("build_info") or {})
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            federation.errors[shard] = f"bad metrics document: {exc!r}"
+            continue
+        conflicts: list[str] = []
+        federation.aggregate.merge(scoped, conflicts)
+        if conflicts:
+            federation.errors[shard] = (
+                f"histogram {conflicts[0]} bucket bounds disagree with "
+                f"the other members"
+            )
+        federation.members[shard] = member
+        federation.identities[shard] = identity
+    federation.aggregate.add("members", len(documents))
+    federation.aggregate.add("scraped", federation.scraped)
+    federation.aggregate.add("scrape_errors", len(federation.errors))
+    return federation
+
+
+def _cluster_scoped(doc: dict) -> dict:
+    """A member's ``/v1/metrics`` document named for the aggregate: its
+    ``cluster.*`` series are cluster-scoped already, so they render as
+    ``repro_cluster_*`` rather than ``repro_cluster_cluster_*``."""
+    return {
+        key: {
+            name.removeprefix("cluster."): value
+            for name, value in doc[key].items()
+        }
+        for key in ("values", "histograms")
+    }
+
+
+@dataclass
+class Federation:
+    """The cluster-wide fold of every member's registry.
+
+    ``aggregate`` (rendered ``repro_cluster_*``) sums counters and
+    histogram buckets and maxes peaks, plus the ``members``/``scraped``/
+    ``scrape_errors`` gauges.  ``members`` and ``identities`` keep each
+    member's registry and build-info labels, re-served with a ``shard``
+    label; ``errors`` maps shard id → what went wrong.
+    """
+
+    aggregate: MetricsRegistry
+    members: dict[str, MetricsRegistry]
+    identities: dict[str, dict]
+    errors: dict[str, str]
+
+    @property
+    def scraped(self) -> int:
+        return len(self.members)
+
+    def render(self, *own: MetricsRegistry) -> str:
+        """Prometheus text, one ``# TYPE`` line per family; ``own``
+        registries render unlabelled next to the member series."""
+        shards = sorted(self.members)
+        return to_prometheus_text(
+            self.aggregate,
+            prefix="repro_cluster",
+            labelled=[
+                *(("repro", {}, registry) for registry in own),
+                *(
+                    ("repro", {"shard": shard}, self.members[shard])
+                    for shard in shards
+                ),
+            ],
+        ) + build_info_text(
+            *({**self.identities[shard], "shard": shard} for shard in shards)
+        )
+
+    def value(self, name: str, shard: str | None = None) -> float | None:
+        """One unlabelled sample by rendered name: an aggregate, or one
+        shard's own series."""
+        if shard is None:
+            samples = prometheus_samples(self.aggregate, "repro_cluster")
+        elif shard in self.members:
+            samples = prometheus_samples(self.members[shard])
+        else:
+            return None
+        return samples.get(name)
 
 
 class _JobStream:
@@ -822,176 +913,6 @@ class _JobStream:
                 self.bus.close()
 
 
-class RouterServer(ThreadingHTTPServer):
-    """HTTP shell around a :class:`RouterManager`."""
-
-    daemon_threads = True
-
-    def __init__(self, address, handler_class, manager: RouterManager):
-        super().__init__(address, handler_class)
-        self.manager = manager
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
-    server: RouterServer
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
-
-    def _send_json(
-        self, status: int, payload: dict, headers: dict | None = None
-    ) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        manager = self.server.manager
-        parsed = urlsplit(self.path)
-        path = parsed.path
-        query = parse_qs(parsed.query)
-        if path == "/healthz":
-            doc = manager.healthz()
-            if manager.draining:
-                doc["status"] = "draining"
-            self._send_json(200 if not manager.draining else 503, doc)
-        elif path == "/metrics":
-            body = manager.metrics_text().encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        elif path == "/v1/cluster/metrics":
-            self._send_json(200, manager.cluster_metrics())
-        elif path == "/v1/cluster/status":
-            self._send_json(200, manager.cluster_status())
-        elif path.startswith("/v1/jobs/") and path.endswith("/trace"):
-            job_id = path[len("/v1/jobs/") : -len("/trace")]
-            if not _JOB_ID_RE.fullmatch(job_id):
-                self._send_json(404, {"error": "no such job"})
-                return
-            status, payload = manager.trace(job_id)
-            self._send_json(status, payload)
-        elif path.startswith("/v1/jobs/") and path.endswith("/events"):
-            job_id = path[len("/v1/jobs/") : -len("/events")]
-            if not _JOB_ID_RE.fullmatch(job_id):
-                self._send_json(404, {"error": "no such job"})
-                return
-            bus = manager.events_bus(job_id)
-            if bus is None:
-                self._send_json(404, {"error": "no such job"})
-                return
-            serve_progress_stream(
-                self,
-                bus,
-                query,
-                doc_id=job_id,
-                state_of=lambda: (manager.get(job_id) or {}).get(
-                    "state", "?"
-                ),
-            )
-        elif path.startswith("/v1/jobs/"):
-            job_id = path[len("/v1/jobs/") :]
-            if not _JOB_ID_RE.fullmatch(job_id):
-                self._send_json(404, {"error": "no such job"})
-                return
-            doc = manager.get(job_id)
-            if doc is None:
-                self._send_json(404, {"error": "no such job"})
-            else:
-                self._send_json(200, doc)
-        else:
-            self._send_json(404, {"error": f"no route {path}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        manager = self.server.manager
-        if self.path != "/v1/check":
-            self._send_json(404, {"error": f"no route {self.path}"})
-            return
-        if manager.draining:
-            self._send_json(
-                503,
-                {"error": "router is draining; not accepting jobs"},
-                headers={"Retry-After": "1"},
-            )
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > 4 * 1024 * 1024:
-            self._send_json(400, {"error": "bad or oversized body"})
-            return
-        body = self.rfile.read(length)
-        try:
-            data = json.loads(body or b"{}")
-            if not isinstance(data, dict):
-                raise ValueError("payload must be a JSON object")
-            if "checks" in data:
-                raw = data["checks"]
-                if not isinstance(raw, list):
-                    raise ValueError("'checks' must be a list")
-                checks = [dict(entry) for entry in raw]
-            else:
-                checks = [
-                    {
-                        k: v
-                        for k, v in data.items()
-                        if k in ("source", "engine", "reflexive", "label")
-                    }
-                ]
-            for check in checks:  # validate at the edge: 400 here, not
-                JobRequest.from_dict(check)  # a failed shard sub-job
-            timeout = data.get("timeout")
-            if timeout is not None:
-                timeout = float(timeout)
-        except (ValueError, TypeError, KeyError, AttributeError) as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        try:
-            job = manager.submit(checks, timeout)
-        except ValueError as exc:
-            self._send_json(502, {"error": str(exc)})
-            return
-        self._send_json(
-            202,
-            {
-                "id": job.id,
-                "state": "queued",
-                "checks": job.checks,
-                "href": f"/v1/jobs/{job.id}",
-                "trace_id": job.trace_id,
-                "shards": [part.shard for part in job.parts],
-            },
-            headers={"X-Repro-Trace-Id": job.trace_id},
-        )
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        if not self.path.startswith("/v1/jobs/"):
-            self._send_json(404, {"error": f"no route {self.path}"})
-            return
-        result = self.server.manager.cancel(
-            self.path[len("/v1/jobs/") :]
-        )
-        if result is None:
-            self._send_json(404, {"error": "no such job"})
-        elif result["state"] == "cancelled":
-            self._send_json(200, result)
-        else:
-            self._send_json(409, {**result, "error": "not fully cancellable"})
-
-
 def create_router(
     host: str = "127.0.0.1",
     port: int = 0,
@@ -999,7 +920,7 @@ def create_router(
     config: RingConfig,
     manager: RouterManager | None = None,
     **manager_kwargs,
-) -> RouterServer:
+) -> ReproServer:
     """A ready-to-run router (``port=0`` binds an ephemeral port).
 
     Run it with :func:`repro.serve.http.serve_forever` — the router's
@@ -1008,4 +929,8 @@ def create_router(
     """
     if manager is None:
         manager = RouterManager(config, **manager_kwargs)
-    return RouterServer((host, port), _RouterHandler, manager)
+    routes = {
+        "/v1/cluster/metrics": manager.cluster_metrics,
+        "/v1/cluster/status": manager.cluster_status,
+    }
+    return ReproServer((host, port), manager, routes)

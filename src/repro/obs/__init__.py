@@ -44,22 +44,8 @@ from repro.obs.progress import (
     ProgressEmitter,
     ProgressPrinter,
 )
-from repro.obs.promtext import (
-    Federation,
-    MetricFamily,
-    Sample,
-    federate_scrapes,
-    parse_prometheus_text,
-    render_prometheus_text,
-)
 
 __all__ = [
-    "Federation",
-    "MetricFamily",
-    "Sample",
-    "federate_scrapes",
-    "parse_prometheus_text",
-    "render_prometheus_text",
     "Span",
     "TraceContext",
     "Tracer",

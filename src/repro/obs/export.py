@@ -22,12 +22,15 @@ export's ``otherData.epoch_wall``).
 :func:`to_prometheus_text` is the third exporter, for metrics rather
 than spans: it renders one or more
 :class:`~repro.obs.metrics.MetricsRegistry` instances in the Prometheus
-text exposition format (the serving layer's ``/metrics`` endpoint).
+text exposition format (the serving layer's ``/metrics`` endpoint), and
+optionally further registries under labels (the cluster router's
+per-shard series).
 """
 
 from __future__ import annotations
 
 import json
+import platform
 import re
 from pathlib import Path
 
@@ -40,6 +43,9 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "to_prometheus_text",
+    "prometheus_samples",
+    "build_info",
+    "build_info_text",
 ]
 
 
@@ -181,10 +187,30 @@ def _prometheus_name(name: str, prefix: str) -> str:
 
 
 def _prom_number(value: float) -> str:
-    return f"{value:g}" if value != int(value) else f"{int(value)}"
+    """Integers bare; anything else as the shortest round-trip ``repr``."""
+    return repr(float(value)) if value != int(value) else f"{int(value)}"
 
 
-def to_prometheus_text(*registries, prefix: str = "repro") -> str:
+def _label_text(labels: dict[str, str]) -> str:
+    """``key="value",...`` with the exposition format's escapes."""
+    return ",".join(
+        f'{key}="{_escape(str(value))}"' for key, value in labels.items()
+    )
+
+
+def _escape(value: str) -> str:
+    return (
+        value.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+    )
+
+
+def _braces(labels: str) -> str:
+    return f"{{{labels}}}" if labels else ""
+
+
+def to_prometheus_text(*registries, prefix: str = "repro", labelled=()) -> str:
     """Render metrics registries in the Prometheus text exposition format.
 
     Each scalar metric becomes one ``# TYPE <name> gauge`` declaration
@@ -204,26 +230,69 @@ def to_prometheus_text(*registries, prefix: str = "repro") -> str:
         repro_request_duration_seconds_bucket{le="+Inf"} 4
         repro_request_duration_seconds_sum 0.57
         repro_request_duration_seconds_count 4
+
+    ``labelled`` adds ``(prefix, labels, registry)`` groups whose series
+    carry the ``labels`` mapping, after the unlabelled series of the
+    same family and under its one ``# TYPE`` line — how the cluster
+    router re-serves every member's registry as ``{shard="host:port"}``.
     """
-    values: dict[str, float] = {}
-    hists: dict[str, object] = {}
-    for registry in registries:
+    values: dict[str, dict[str, float]] = {}
+    hists: dict[str, dict[str, object]] = {}
+    groups = [(prefix, {}, registry) for registry in registries]
+    for group_prefix, labels, registry in [*groups, *labelled]:
+        text = _label_text(labels)
         for name, value in registry.as_dict().items():
-            values[_prometheus_name(name, prefix)] = value
+            name = _prometheus_name(name, group_prefix)
+            values.setdefault(name, {})[text] = value
         for name, hist in getattr(registry, "histograms", {}).items():
-            hists[_prometheus_name(name, prefix)] = hist
+            name = _prometheus_name(name, group_prefix)
+            hists.setdefault(name, {})[text] = hist
     lines = []
     for name in sorted(values):
         lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name} {_prom_number(values[name])}")
+        for text, value in values[name].items():
+            lines.append(f"{name}{_braces(text)} {_prom_number(value)}")
     for name in sorted(hists):
-        hist = hists[name]
         lines.append(f"# TYPE {name} histogram")
-        for bound, running in zip(hist.bounds, hist.cumulative()):
-            lines.append(
-                f'{name}_bucket{{le="{_prom_number(bound)}"}} {running}'
-            )
-        lines.append(f'{name}_bucket{{le="+Inf"}} {hist.count}')
-        lines.append(f"{name}_sum {_prom_number(hist.sum)}")
-        lines.append(f"{name}_count {hist.count}")
+        for text, hist in hists[name].items():
+            braces, tail = _braces(text), f",{text}" if text else ""
+            for bound, running in zip(hist.bounds, hist.cumulative()):
+                le = _prom_number(bound)
+                lines.append(f'{name}_bucket{{le="{le}"{tail}}} {running}')
+            lines.append(f'{name}_bucket{{le="+Inf"{tail}}} {hist.count}')
+            lines.append(f"{name}_sum{braces} {_prom_number(hist.sum)}")
+            lines.append(f"{name}_count{braces} {hist.count}")
+    return "\n".join(lines) + "\n"
+
+
+def prometheus_samples(registry, prefix: str = "repro") -> dict[str, float]:
+    """The unlabelled samples :func:`to_prometheus_text` renders for
+    ``registry``, by name: every scalar plus each histogram's ``_sum``
+    and ``_count``."""
+    samples = {
+        _prometheus_name(name, prefix): value
+        for name, value in registry.as_dict().items()
+    }
+    for name, hist in registry.histograms.items():
+        samples[f"{_prometheus_name(name, prefix)}_sum"] = hist.sum
+        samples[f"{_prometheus_name(name, prefix)}_count"] = hist.count
+    return samples
+
+
+def build_info() -> dict[str, str]:
+    """This process's identity: the ``repro_build_info`` labels."""
+    from repro import __version__
+
+    return {"version": __version__, "python": platform.python_version()}
+
+
+def build_info_text(*identities: dict[str, str]) -> str:
+    """The ``repro_build_info`` gauge: one sample (value 1) per label
+    set, e.g. ``build_info_text(build_info())`` for this process."""
+    lines = [
+        "# HELP repro_build_info Build/runtime identity (value always 1).",
+        "# TYPE repro_build_info gauge",
+    ]
+    for labels in identities:
+        lines.append(f"repro_build_info{{{_label_text(labels)}}} 1")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,10 @@ Besides scalar counters a registry holds named
 :class:`~repro.obs.hist.Histogram` latency distributions
 (:meth:`MetricsRegistry.observe` / :meth:`MetricsRegistry.histogram`);
 :func:`repro.obs.export.to_prometheus_text` renders them as
-``_bucket``/``_sum``/``_count`` series.
+``_bucket``/``_sum``/``_count`` series.  :meth:`MetricsRegistry.to_dict`
+and :meth:`MetricsRegistry.from_dict` carry a whole registry across a
+process boundary as JSON (a serve member's ``GET /v1/metrics``, which
+the cluster router folds with :meth:`MetricsRegistry.merge`).
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ class MetricsRegistry:
         return dict(sorted(self._hists.items()))
 
     # -- registry merging ------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
+    def merge(
+        self, other: "MetricsRegistry", conflicts: list[str] | None = None
+    ) -> "MetricsRegistry":
         """Fold another registry in; returns ``self``.
 
         Scalars go through :meth:`add`, so peak metrics aggregate as
@@ -105,7 +110,9 @@ class MetricsRegistry:
         both sides with *different* bucket bounds raises ``ValueError``
         naming the metric — mis-summing across mismatched buckets
         would silently corrupt every federated latency series built on
-        top of this merge.
+        top of this merge.  With a ``conflicts`` list such a histogram
+        is left out instead and its name appended (the cluster
+        federation drops the one family, not the whole member).
         """
         for name, value in other._values.items():
             self.add(name, value)
@@ -113,7 +120,9 @@ class MetricsRegistry:
             try:
                 self.histogram(name, bounds=hist.bounds).merge(hist)
             except ValueError as exc:
-                raise ValueError(f"metric {name!r}: {exc}") from None
+                if conflicts is None:
+                    raise ValueError(f"metric {name!r}: {exc}") from None
+                conflicts.append(name)
         return self
 
     # -- structured feeders ---------------------------------------------
@@ -200,6 +209,27 @@ class MetricsRegistry:
     def as_dict(self) -> dict[str, float]:
         """Snapshot of every metric, sorted by name."""
         return dict(sorted(self._values.items()))
+
+    def to_dict(self) -> dict:
+        """JSON-ready snapshot: ``{"values": {name: value}, "histograms":
+        {name: Histogram.to_dict()}}`` — what ``GET /v1/metrics`` serves."""
+        return {
+            "values": self.as_dict(),
+            "histograms": {
+                name: hist.to_dict() for name, hist in self.histograms.items()
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "MetricsRegistry":
+        """The inverse of :meth:`to_dict`; raises ``TypeError``,
+        ``ValueError`` or ``KeyError`` on a malformed document."""
+        registry = cls()
+        for name, value in data["values"].items():
+            registry._values[str(name)] = float(value)
+        for name, hist in data["histograms"].items():
+            registry._hists[str(name)] = Histogram.from_dict(hist)
+        return registry
 
     def format(self) -> str:
         """One ``name = value`` line per metric, sorted by name."""

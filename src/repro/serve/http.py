@@ -53,18 +53,25 @@ repo.  Endpoints:
                                 ``repro_stalled_obligations`` gauge and a
                                 ``repro_build_info`` gauge carrying
                                 version/python labels.
+``GET /v1/metrics``             The same registry fold as JSON
+                                (``MetricsRegistry.to_dict()`` plus the
+                                ``build_info`` labels) — what the
+                                cluster router federates.
 ==============================  ==============================================
+
+Malformed ``POST`` bodies answer ``400`` (``413`` above
+:data:`MAX_BODY_BYTES`) before any manager sees them.
 
 :func:`create_server` wires a :class:`JobManager` to a
 :class:`ReproServer`; :func:`serve_forever` adds the ``SIGTERM``/
 ``SIGINT`` handler that drains the queue before exiting, which is what
-``repro serve`` runs.
+``repro serve`` runs.  The cluster router is the same server and
+handler over a :class:`~repro.cluster.router.RouterManager`.
 """
 
 from __future__ import annotations
 
 import json
-import platform
 import re
 import signal
 import threading
@@ -72,10 +79,14 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
-from repro.obs.export import to_prometheus_text
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.export import build_info
 from repro.obs.tracer import TraceContext
-from repro.serve.jobs import JobManager, JobRequest, QueueFullError
+from repro.serve.jobs import (
+    JobManager,
+    JobRequest,
+    QueueFullError,
+    ServeError,
+)
 from repro.store.store import StoreRecord
 
 __all__ = [
@@ -112,17 +123,41 @@ def _inbound_trace(header: str | None) -> TraceContext:
 
 
 class ReproServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` carrying the service's state."""
+    """A :class:`ThreadingHTTPServer` carrying the service's state:
+    the ``manager`` behind the shared routes, and ``routes`` mapping
+    extra ``GET`` paths to JSON-document callables."""
 
     daemon_threads = True
 
-    def __init__(self, address, handler_class, manager: JobManager):
-        super().__init__(address, handler_class)
+    def __init__(self, address, manager, routes: dict | None = None):
+        super().__init__(address, _Handler)
         self.manager = manager
+        self.routes = routes or {}
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+
+def _parse_checks(body: bytes) -> tuple[list[JobRequest], float | None]:
+    """A ``POST /v1/check`` payload as validated requests + timeout.
+
+    Raises ``ValueError``/``TypeError`` (answered ``400``) on anything
+    malformed, so both roles reject bad checks at the edge.
+    """
+    data = json.loads(body or b"{}")
+    if not isinstance(data, dict):
+        raise ValueError("payload must be a JSON object")
+    raw = data["checks"] if "checks" in data else [data]
+    if not isinstance(raw, list):
+        raise ValueError("'checks' must be a list")
+    if not raw:
+        raise ValueError("a job needs at least one check")
+    timeout = data.get("timeout")
+    return (
+        [JobRequest.from_dict(entry) for entry in raw],
+        None if timeout is None else float(timeout),
+    )
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -133,134 +168,109 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # quiet by default; metrics are the observability surface
 
-    def _send_json(
-        self, status: int, payload: dict, headers: dict | None = None
+    def _send_text(
+        self,
+        status: int,
+        text: str,
+        content_type: str,
+        headers: dict | None = None,
     ) -> None:
-        body = json.dumps(payload).encode()
+        body = text.encode()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(
+        self, status: int, payload: dict, headers: dict | None = None
+    ) -> None:
+        self._send_text(
+            status, json.dumps(payload), "application/json", headers
+        )
 
-    def _read_body(self) -> bytes | None:
+    def _read_body(self) -> bytes:
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = -1
         if length < 0 or length > MAX_BODY_BYTES:
-            self._send_json(
+            raise ServeError(
                 413 if length > MAX_BODY_BYTES else 400,
                 {"error": "bad or oversized Content-Length"},
             )
-            return None
         return self.rfile.read(length)
 
-    # -- routes ----------------------------------------------------------
+    def _answer(self, route) -> None:
+        """Run one route; a :class:`ServeError` becomes its response."""
+        try:
+            route()
+        except ServeError as exc:
+            self._send_json(exc.status, exc.payload, exc.headers)
+
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._answer(self._get)
+
+    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
+        self._answer(self._put)
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        self._answer(self._post)
+
+    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
+        self._answer(self._delete)
+
+    # -- routes ----------------------------------------------------------
+    def _get(self) -> None:
         manager = self.server.manager
         parsed = urlsplit(self.path)
         path = parsed.path
-        query = parse_qs(parsed.query)
+        job_id, _, view = path.removeprefix("/v1/jobs/").partition("/")
         if path == "/healthz":
             stats = manager.stats()
             stats["status"] = "draining" if manager.draining else "ok"
             self._send_json(200 if not manager.draining else 503, stats)
         elif path == "/metrics":
-            # Fold the distinct registries into one before rendering, so
-            # name collisions follow merge semantics (peaks take the max,
-            # everything else sums) rather than last-registry-wins.  The
-            # store may share the manager's registry — dedup by identity
-            # or shared counters would double.
-            registries: list[MetricsRegistry] = [manager.metrics]
-            registries.append(manager._scheduler().metrics)
-            store = manager.store
-            if store is not None and store.metrics is not None:
-                registries.append(store.metrics)
-            merged = MetricsRegistry()
-            seen: list[MetricsRegistry] = []
-            for registry in registries:
-                if any(registry is prior for prior in seen):
-                    continue
-                seen.append(registry)
-                merged.merge(registry)
             self._send_text(
-                200,
-                to_prometheus_text(merged) + _build_info_text(),
-                "text/plain; version=0.0.4",
+                200, manager.metrics_text(), "text/plain; version=0.0.4"
             )
-        elif path.startswith("/v1/jobs/") and path.endswith("/events"):
-            job = manager.get(path[len("/v1/jobs/") : -len("/events")])
-            if job is None:
-                self._send_json(404, {"error": "no such job"})
-            elif job.progress is None:
-                self._send_json(
-                    404,
-                    {
-                        "id": job.id,
-                        "error": "progress is disabled on this server",
-                    },
-                )
-            else:
-                self._serve_events(job, query)
-        elif path.startswith("/v1/jobs/") and path.endswith("/trace"):
-            job_id = path[len("/v1/jobs/") : -len("/trace")]
-            job = manager.get(job_id)
-            if job is None:
-                self._send_json(404, {"error": "no such job"})
-            elif not job.terminal:
-                self._send_json(
-                    409,
-                    {
-                        "id": job.id,
-                        "state": job.state,
-                        "error": "trace available once the job is terminal",
-                    },
-                )
-            elif job.trace is None:
-                self._send_json(
-                    404,
-                    {
-                        "id": job.id,
-                        "error": "request tracing is disabled on this server",
-                    },
-                )
-            else:
-                self._send_json(
-                    200,
-                    {
-                        "id": job.id,
-                        "trace_id": job.trace_id,
-                        "spans": job.trace,
-                        # wall-clock time of offset zero: what a router
-                        # needs to rebase this tree onto its own clock
-                        "wall_origin": job.trace_wall_origin,
-                        "shard": job.shard or None,
-                    },
-                )
-        elif path.startswith("/v1/jobs/"):
-            job = manager.get(path[len("/v1/jobs/") :])
-            if job is None:
-                self._send_json(404, {"error": "no such job"})
-            else:
-                self._send_json(200, job.to_dict())
+        elif path == "/v1/metrics":
+            document = manager.registry().to_dict()
+            self._send_json(200, {**document, "build_info": build_info()})
+        elif path in self.server.routes:
+            self._send_json(200, self.server.routes[path]())
         elif path.startswith("/v1/store/"):
-            self._serve_store_get(path[len("/v1/store/") :], query)
+            self._serve_store_get(path[len("/v1/store/") :])
+        elif not path.startswith("/v1/jobs/"):
+            raise ServeError(404, {"error": f"no route {path}"})
+        elif view == "events":
+            bus, state_of = manager.job_events(job_id)
+            serve_progress_stream(
+                self,
+                bus,
+                parse_qs(parsed.query),
+                doc_id=job_id,
+                state_of=state_of,
+            )
+        elif view == "trace":
+            self._send_json(200, manager.job_trace(job_id))
+        elif not view:
+            self._send_json(200, manager.job_document(job_id))
         else:
-            self._send_json(404, {"error": f"no route {path}"})
+            raise ServeError(404, {"error": f"no route {path}"})
 
     # -- peer store fetch -------------------------------------------------
-    def _serve_store_get(self, fingerprint: str, query: dict) -> None:
+    def _store(self, fingerprint: str):
+        """The local store, once ``fingerprint`` is a SHA-256 hex."""
+        if self.server.manager.store is None:
+            raise ServeError(404, {"error": "no store on this server"})
+        if not _FINGERPRINT_RE.fullmatch(fingerprint):
+            raise ServeError(400, {"error": "bad fingerprint"})
+        return self.server.manager.store
+
+    def _serve_store_get(self, fingerprint: str) -> None:
         """``GET /v1/store/<fingerprint>``: this shard's local record.
 
         Strictly local (:meth:`~repro.store.store.ResultStore.peek_local`)
@@ -268,25 +278,18 @@ class _Handler(BaseHTTPRequestHandler):
         separately (``serve.store_get*``) so served probes don't distort
         this instance's own hit-rate math.
         """
-        manager = self.server.manager
-        store = manager.store
-        if store is None:
-            self._send_json(404, {"error": "no store on this server"})
-            return
-        if not _FINGERPRINT_RE.fullmatch(fingerprint):
-            self._send_json(400, {"error": "bad fingerprint"})
-            return
-        manager.metrics.add("serve.store_get")
+        store = self._store(fingerprint)
+        metrics = self.server.manager.metrics
+        metrics.add("serve.store_get")
         record = store.peek_local(fingerprint)
         if record is None:
-            self._send_json(404, {"error": "no such record"})
-            return
-        manager.metrics.add("serve.store_get_hits")
+            raise ServeError(404, {"error": "no such record"})
+        metrics.add("serve.store_get_hits")
         self._send_json(
             200, {"fingerprint": fingerprint, "record": record.to_dict()}
         )
 
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
+    def _put(self) -> None:
         """``PUT /v1/store/<fingerprint>``: accept a replicated record.
 
         The cluster's push-to-owner path: a shard that computed a record
@@ -295,20 +298,10 @@ class _Handler(BaseHTTPRequestHandler):
         counters, and (on a peer-aware store) no re-push echo.
         """
         if not self.path.startswith("/v1/store/"):
-            self._send_json(404, {"error": f"no route {self.path}"})
-            return
-        manager = self.server.manager
-        store = manager.store
-        if store is None:
-            self._send_json(404, {"error": "no store on this server"})
-            return
+            raise ServeError(404, {"error": f"no route {self.path}"})
         fingerprint = urlsplit(self.path).path[len("/v1/store/") :]
-        if not _FINGERPRINT_RE.fullmatch(fingerprint):
-            self._send_json(400, {"error": "bad fingerprint"})
-            return
+        store = self._store(fingerprint)
         body = self._read_body()
-        if body is None:
-            return
         try:
             data = json.loads(body or b"{}")
             if not isinstance(data, dict) or not isinstance(
@@ -317,103 +310,57 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ValueError("payload must be {'record': {...}}")
             record = StoreRecord.from_dict(data["record"])
         except (ValueError, TypeError, KeyError) as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
+            raise ServeError(400, {"error": str(exc)}) from None
         kind = str(data.get("kind", "")) or None
         try:
             store.local_record(fingerprint, record, kind=kind)
         except OSError as exc:
-            self._send_json(500, {"error": f"store write failed: {exc}"})
-            return
-        manager.metrics.add("serve.store_put")
+            raise ServeError(
+                500, {"error": f"store write failed: {exc}"}
+            ) from None
+        self.server.manager.metrics.add("serve.store_put")
         self._send_json(200, {"fingerprint": fingerprint, "stored": True})
 
-    # -- live progress streaming -----------------------------------------
-    def _serve_events(self, job, query: dict) -> None:
-        """``GET /v1/jobs/<id>/events``: SSE stream or long-poll JSON."""
-        serve_progress_stream(
-            self,
-            job.progress,
-            query,
-            doc_id=job.id,
-            state_of=lambda: job.state,
-        )
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+    def _post(self) -> None:
         if self.path != "/v1/check":
-            self._send_json(404, {"error": f"no route {self.path}"})
-            return
+            raise ServeError(404, {"error": f"no route {self.path}"})
         accept_started = time.perf_counter()
         body = self._read_body()
-        if body is None:
-            return
+        manager = self.server.manager
         try:
-            data = json.loads(body or b"{}")
-            if not isinstance(data, dict):
-                raise ValueError("payload must be a JSON object")
-            if "checks" in data:
-                raw = data["checks"]
-                if not isinstance(raw, list):
-                    raise ValueError("'checks' must be a list")
-                requests = [JobRequest.from_dict(entry) for entry in raw]
-            else:
-                requests = [JobRequest.from_dict(data)]
-            timeout = data.get("timeout")
-            if timeout is not None:
-                timeout = float(timeout)
-        except (ValueError, TypeError, KeyError) as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        # The trace identity lives at the edge — before the queue — so a
-        # rejected submission still has an id to log against.  A router
-        # fronting this shard sends the authoritative id in the
-        # X-Repro-Trace-Id header; standalone submissions mint here.
-        trace = _inbound_trace(self.headers.get("X-Repro-Trace-Id"))
-        try:
-            job = self.server.manager.submit(
-                requests, timeout=timeout, trace=trace
+            requests, timeout = _parse_checks(body)
+            # The trace identity lives at the edge — before the queue —
+            # so a rejected submission still has an id to log against.
+            # A router fronting this shard sends the authoritative id in
+            # the X-Repro-Trace-Id header; standalone submissions mint.
+            accepted = manager.accept(
+                requests,
+                timeout=timeout,
+                trace=_inbound_trace(self.headers.get("X-Repro-Trace-Id")),
             )
         except QueueFullError as exc:
-            status = 503 if self.server.manager.draining else 429
             # Retry-After lets well-behaved clients (ServeClient) back
             # off instead of surfacing transient backpressure as failure.
-            self._send_json(
-                status, {"error": str(exc)}, headers={"Retry-After": "1"}
-            )
-            return
-        except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        self.server.manager.metrics.observe(
+            raise ServeError(
+                503 if manager.draining else 429,
+                {"error": str(exc)},
+                headers={"Retry-After": "1"},
+            ) from None
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ServeError(400, {"error": str(exc)}) from None
+        manager.metrics.observe(
             "request.stage.accept_seconds",
             time.perf_counter() - accept_started,
         )
         self._send_json(
-            202,
-            {
-                "id": job.id,
-                "state": job.state,
-                "checks": len(job.requests),
-                "href": f"/v1/jobs/{job.id}",
-                "trace_id": job.trace_id,
-            },
-            headers={"X-Repro-Trace-Id": job.trace_id},
+            202, accepted, headers={"X-Repro-Trace-Id": accepted["trace_id"]}
         )
 
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
+    def _delete(self) -> None:
         if not self.path.startswith("/v1/jobs/"):
-            self._send_json(404, {"error": f"no route {self.path}"})
-            return
+            raise ServeError(404, {"error": f"no route {self.path}"})
         job_id = self.path[len("/v1/jobs/") :]
-        state = self.server.manager.cancel(job_id)
-        if state is None:
-            self._send_json(404, {"error": "no such job"})
-        elif state == "cancelled":
-            self._send_json(200, {"id": job_id, "state": state})
-        else:
-            self._send_json(
-                409, {"id": job_id, "state": state, "error": "not cancellable"}
-            )
+        self._send_json(200, self.server.manager.cancel_job(job_id))
 
 
 def serve_progress_stream(
@@ -426,17 +373,18 @@ def serve_progress_stream(
 ) -> None:
     """Serve one :class:`~repro.obs.progress.ProgressBus` over HTTP.
 
-    The shared SSE / long-poll loop behind ``GET /v1/jobs/<id>/events``
-    — used verbatim by both the shard handler (one job's bus) and the
-    cluster router (its merged, shard-tagged bus), so the two tiers
-    speak byte-identical streams: ``id:`` frames carry the bus sequence
-    number, ``Last-Event-ID``/``?since=`` resume from the retained
-    window, ``?poll=<seconds>`` selects the JSON long-poll fallback,
-    and a final ``end`` frame marks a cleanly finished stream.
+    The SSE / long-poll loop behind ``GET /v1/jobs/<id>/events`` — one
+    loop for a member's job bus and the router's merged, shard-tagged
+    bus alike, so the two tiers speak byte-identical streams: ``id:``
+    frames carry the bus sequence number, ``Last-Event-ID``/``?since=``
+    resume from the retained window, ``?poll=<seconds>`` selects the
+    JSON long-poll fallback, and a final ``end`` frame marks a cleanly
+    finished stream.
 
-    ``handler`` must be mid-``do_GET`` (headers not yet sent);
-    ``state_of`` is called per long-poll response for the current job
-    state string.
+    ``handler`` must be mid-``do_GET`` (headers not yet sent; a bad
+    ``since``/``poll`` raises :class:`~repro.serve.jobs.ServeError`
+    ``400``); ``state_of`` is called per long-poll response for the
+    current job state string.
     """
     since = 0
     try:
@@ -445,14 +393,12 @@ def serve_progress_stream(
         elif handler.headers.get("Last-Event-ID"):
             since = int(handler.headers["Last-Event-ID"])
     except (ValueError, IndexError):
-        handler._send_json(400, {"error": "bad since / Last-Event-ID"})
-        return
+        raise ServeError(400, {"error": "bad since / Last-Event-ID"}) from None
     if "poll" in query:
         try:
             poll = float(query["poll"][0] or 30.0)
         except ValueError:
-            handler._send_json(400, {"error": "bad poll seconds"})
-            return
+            raise ServeError(400, {"error": "bad poll seconds"}) from None
         events = bus.wait(since, timeout=max(min(poll, 60.0), 0.0))
         handler._send_json(
             200,
@@ -501,18 +447,6 @@ def serve_progress_stream(
         pass  # client went away; it can resume with Last-Event-ID
 
 
-def _build_info_text() -> str:
-    """The ``repro_build_info`` gauge: identity as Prometheus labels."""
-    from repro import __version__
-
-    return (
-        "# HELP repro_build_info Build/runtime identity (value always 1).\n"
-        "# TYPE repro_build_info gauge\n"
-        f'repro_build_info{{version="{__version__}",'
-        f'python="{platform.python_version()}"}} 1\n'
-    )
-
-
 def create_server(
     host: str = "127.0.0.1",
     port: int = 0,
@@ -530,7 +464,7 @@ def create_server(
     if manager is None:
         manager = JobManager(**manager_kwargs)
     manager.start()
-    return ReproServer((host, port), _Handler, manager)
+    return ReproServer((host, port), manager)
 
 
 def serve_forever(server: ReproServer, drain_timeout: float = 60.0) -> None:

@@ -48,7 +48,12 @@ import uuid
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
-from repro.obs.export import to_jsonl_records
+from repro.obs.export import (
+    build_info,
+    build_info_text,
+    to_jsonl_records,
+    to_prometheus_text,
+)
 from repro.obs.log import LOG, EventLog, source_digest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import DEFAULT_INTERVAL, ProgressBus, ProgressConfig
@@ -63,12 +68,26 @@ __all__ = [
     "JobManager",
     "JobRequest",
     "QueueFullError",
+    "ServeError",
     "TERMINAL_STATES",
 ]
 
 
 class QueueFullError(ReproError):
     """The job queue is at capacity; the caller should back off."""
+
+
+class ServeError(ReproError):
+    """A request the service answers with ``status``, a JSON body and
+    optional headers (``404`` unknown job, ``409`` wrong state, ...)."""
+
+    def __init__(
+        self, status: int, payload: dict, headers: dict | None = None
+    ):
+        super().__init__(payload.get("error", ""))
+        self.status = status
+        self.payload = payload
+        self.headers = headers
 
 
 #: States from which a job never moves again.
@@ -86,6 +105,8 @@ class JobRequest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobRequest":
+        if not isinstance(data, dict):
+            raise ValueError("each check must be a JSON object")
         source = data.get("source")
         if not isinstance(source, str) or not source.strip():
             raise ValueError("each check needs a non-empty 'source' string")
@@ -416,6 +437,108 @@ class JobManager:
                     )
                     job.progress.close()
             return job.state
+
+    # -- the HTTP surface (see repro.serve.http) --------------------------
+    def accept(
+        self,
+        requests: list[JobRequest],
+        timeout: float | None = None,
+        trace: TraceContext | None = None,
+    ) -> dict:
+        """:meth:`submit`, answered with the ``202`` acceptance document."""
+        job = self.submit(requests, timeout=timeout, trace=trace)
+        return {
+            "id": job.id,
+            "state": job.state,
+            "checks": len(job.requests),
+            "href": f"/v1/jobs/{job.id}",
+            "trace_id": job.trace_id,
+        }
+
+    def _known(self, job_id: str) -> Job:
+        job = self.get(job_id)
+        if job is None:
+            raise ServeError(404, {"error": "no such job"})
+        return job
+
+    def job_document(self, job_id: str) -> dict:
+        return self._known(job_id).to_dict()
+
+    def job_trace(self, job_id: str) -> dict:
+        """The terminal job's span records (``409`` before then)."""
+        job = self._known(job_id)
+        if not job.terminal:
+            raise ServeError(
+                409,
+                {
+                    "id": job.id,
+                    "state": job.state,
+                    "error": "trace available once the job is terminal",
+                },
+            )
+        if job.trace is None:
+            raise ServeError(
+                404,
+                {
+                    "id": job.id,
+                    "error": "request tracing is disabled on this server",
+                },
+            )
+        return {
+            "id": job.id,
+            "trace_id": job.trace_id,
+            "spans": job.trace,
+            # wall-clock time of offset zero: what a router needs to
+            # rebase this tree onto its own clock
+            "wall_origin": job.trace_wall_origin,
+            "shard": job.shard or None,
+        }
+
+    def job_events(self, job_id: str):
+        """The job's progress bus and a current-state callable."""
+        job = self._known(job_id)
+        if job.progress is None:
+            raise ServeError(
+                404,
+                {"id": job.id, "error": "progress is disabled on this server"},
+            )
+        return job.progress, lambda: job.state
+
+    def cancel_job(self, job_id: str) -> dict:
+        """:meth:`cancel`, with ``404``/``409`` as :class:`ServeError`."""
+        state = self.cancel(job_id)
+        if state is None:
+            raise ServeError(404, {"error": "no such job"})
+        if state != "cancelled":
+            raise ServeError(
+                409, {"id": job_id, "state": state, "error": "not cancellable"}
+            )
+        return {"id": job_id, "state": state}
+
+    def registry(self) -> MetricsRegistry:
+        """Manager, scheduler and store registries folded into one.
+
+        Name collisions follow merge semantics (peaks take the max,
+        everything else sums).  The store may share the manager's
+        registry, so registries are deduplicated by identity or shared
+        counters would double.
+        """
+        store = self.store.metrics if self.store is not None else None
+        distinct = {
+            id(registry): registry
+            for registry in (self.metrics, self._scheduler().metrics, store)
+            if registry is not None
+        }
+        merged = MetricsRegistry()
+        for registry in distinct.values():
+            merged.merge(registry)
+        return merged
+
+    def metrics_text(self) -> str:
+        """The ``/metrics`` document: :meth:`registry` plus build info."""
+        return to_prometheus_text(self.registry()) + build_info_text(
+            build_info()
+        )
 
     def stats(self) -> dict:
         """Queue/job counts, version, uptime and store hit rate

@@ -29,9 +29,20 @@ from repro.store.store import StoreRecord
 
 def free_port() -> int:
     """A port that was just free — and is now closed (nobody listens)."""
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
+    return free_ports(1)[0]
+
+
+def free_ports(count: int) -> list[int]:
+    """``count`` distinct ports that were just free, all closed again
+    (held open together, so two calls cannot hand out the same one)."""
+    socks = [socket.socket() for _ in range(count)]
+    try:
+        for sock in socks:
+            sock.bind(("127.0.0.1", 0))
+        return [sock.getsockname()[1] for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
 
 
 def fingerprint_owned_by(config: RingConfig, shard: str) -> str:
@@ -93,8 +104,7 @@ class TestCircuitBreaker:
 
 class TestDeadPeerDegradation:
     def _store(self, tmp_path, **peer_kwargs):
-        dead = f"127.0.0.1:{free_port()}"
-        me = f"127.0.0.1:{free_port()}"
+        dead, me = (f"127.0.0.1:{port}" for port in free_ports(2))
         config = RingConfig.parse(f"{me},{dead}", self_url=me)
         store = PeerAwareStore(
             tmp_path / "local",

@@ -1,18 +1,19 @@
 """The router front end over real serving instances on loopback."""
 
+import http.client
 import json
 import socket
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.cluster.ring import RingConfig, request_fingerprint
 from repro.cluster.router import RouterManager, create_router
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.http import create_server
-from repro.serve.jobs import JobManager
-from repro.store import ResultStore
+from repro.serve.http import MAX_BODY_BYTES
+
+from .conftest import serve_in_thread, start_member, stop_server
 
 GOOD = """
 MODULE main
@@ -34,38 +35,6 @@ def free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
-
-
-@pytest.fixture
-def cluster(tmp_path):
-    """Two real shards + a router, all on ephemeral loopback ports."""
-    instances = []
-    for name in ("a", "b"):
-        store = ResultStore(tmp_path / f"{name}-store")
-        manager = JobManager(
-            jobs=1, queue_size=8, store=store, metrics=store.metrics
-        )
-        server = create_server(manager=manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        instances.append((server, manager, thread))
-    urls = ",".join(
-        f"127.0.0.1:{server.port}" for server, _, _ in instances
-    )
-    config = RingConfig.parse(urls)
-    router = create_router(config=config, timeout=5.0)
-    router_thread = threading.Thread(target=router.serve_forever, daemon=True)
-    router_thread.start()
-    client = ServeClient(f"http://127.0.0.1:{router.port}")
-    yield router, config, client
-    router.shutdown()
-    router.server_close()
-    router_thread.join(timeout=10)
-    for server, manager, thread in instances:
-        server.shutdown()
-        server.server_close()
-        manager.stop()
-        thread.join(timeout=10)
 
 
 class TestRouting:
@@ -127,24 +96,57 @@ class TestRouting:
         assert "repro_router_submit_seconds" in text
 
 
+def post_raw(base: str, body: bytes, length: int | None = None):
+    """``POST /v1/check`` with a raw body; ``(status, json)``."""
+    parts = urlsplit(base if "//" in base else f"http://{base}")
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        conn.putrequest("POST", "/v1/check")
+        conn.putheader("Content-Type", "application/json")
+        if length is None:
+            length = len(body)
+        conn.putheader("Content-Length", str(length))
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+class TestEdgeValidation:
+    """Both roles share one ``POST /v1/check`` parse: a malformed entry
+    is a 400 and an oversized body a 413, never a dropped connection."""
+
+    @pytest.mark.parametrize("role", ["member", "router"])
+    @pytest.mark.parametrize(
+        "body, length, status",
+        [
+            (b'{"checks": [3]}', None, 400),
+            (b'{"checks": ["x"]}', None, 400),
+            (b'{"checks": []}', None, 400),
+            (b"{}", MAX_BODY_BYTES + 1, 413),
+        ],
+        ids=["int-entry", "str-entry", "empty-batch", "oversized"],
+    )
+    def test_rejected_with_status(self, cluster, role, body, length, status):
+        router, config, _ = cluster
+        base = config.urls[0] if role == "member" else (
+            f"http://127.0.0.1:{router.port}"
+        )
+        got, payload = post_raw(base, body, length)
+        assert got == status
+        assert payload["error"]
+
+
 class TestFailover:
     def test_dead_shard_fails_over_to_live_member(self, tmp_path):
         """One live shard + one corpse: every check still completes."""
-        store = ResultStore(tmp_path / "store")
-        manager = JobManager(
-            jobs=1, queue_size=8, store=store, metrics=store.metrics
-        )
-        server = create_server(manager=manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server, thread = start_member(tmp_path / "store")
         dead = f"127.0.0.1:{free_port()}"
         config = RingConfig.parse(f"127.0.0.1:{server.port},{dead}")
         router_manager = RouterManager(config, timeout=2.0)
         router = create_router(config=config, manager=router_manager)
-        router_thread = threading.Thread(
-            target=router.serve_forever, daemon=True
-        )
-        router_thread.start()
+        router_thread = serve_in_thread(router)
         client = ServeClient(f"http://127.0.0.1:{router.port}")
         try:
             # two checks the dead member owns and two the live one owns,
@@ -174,13 +176,9 @@ class TestFailover:
             health = client.healthz()
             assert health["shards"][dead]["reachable"] is False
         finally:
-            router.shutdown()
-            router.server_close()
-            router_thread.join(timeout=10)
-            server.shutdown()
-            server.server_close()
-            manager.stop()
-            thread.join(timeout=10)
+            stop_server(router, router_thread)
+            stop_server(server, thread)
+            server.manager.stop()
 
 
 class _DoneOnSubmitShard(BaseHTTPRequestHandler):
@@ -221,8 +219,7 @@ class TestDoneOnSubmit:
         instead of leaving the routed job ``running`` for ever."""
         _DoneOnSubmitShard.polls = 0
         shard = ThreadingHTTPServer(("127.0.0.1", 0), _DoneOnSubmitShard)
-        thread = threading.Thread(target=shard.serve_forever, daemon=True)
-        thread.start()
+        thread = serve_in_thread(shard)
         try:
             manager = RouterManager(
                 RingConfig.parse(f"127.0.0.1:{shard.server_address[1]}"),
@@ -235,6 +232,4 @@ class TestDoneOnSubmit:
             assert manager.get(job.id)["state"] == "done"
             assert _DoneOnSubmitShard.polls == 1  # landed reports stop polling
         finally:
-            shard.shutdown()
-            shard.server_close()
-            thread.join(timeout=10)
+            stop_server(shard, thread)

@@ -9,17 +9,14 @@ serving instances behind one router.
 
 import re
 import socket
-import threading
 
 import pytest
 
 from repro.cluster.ring import RingConfig, request_fingerprint
 from repro.cluster.router import create_router
-from repro.obs.promtext import parse_prometheus_text
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.http import create_server
-from repro.serve.jobs import JobManager
-from repro.store import ResultStore
+
+from .conftest import start_member, stop_server
 
 GOOD = """
 MODULE main
@@ -44,45 +41,26 @@ def free_port() -> int:
 
 
 def both_shard_batch(config: RingConfig) -> list[dict]:
-    """A batch guaranteed to route to *both* members of the ring."""
+    """A batch guaranteed to route to *both* members of the ring: three
+    checks each member owns, whatever ports the ring was built from."""
+    sources = [GOOD + f"-- v{i}\n" for i in range(64)]
+    picked = [
+        source
+        for shard in config.shard_ids
+        for source in [
+            s for s in sources
+            if config.ring.owner(request_fingerprint({"source": s})) == shard
+        ][:3]
+    ]
     checks = [
-        {"source": GOOD + f"-- v{i}\n", "label": f"c{i}"} for i in range(6)
+        {"source": source, "label": f"c{i}"}
+        for i, source in enumerate(picked)
     ]
     owners = {
         config.ring.owner(request_fingerprint(c)) for c in checks
     }
     assert owners == set(config.shard_ids), "batch stayed on one shard"
     return checks
-
-
-@pytest.fixture
-def cluster(tmp_path):
-    """Two real shards + a router, all on ephemeral loopback ports."""
-    instances = []
-    for name in ("a", "b"):
-        store = ResultStore(tmp_path / f"{name}-store")
-        manager = JobManager(
-            jobs=1, queue_size=8, store=store, metrics=store.metrics
-        )
-        server = create_server(manager=manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        instances.append((server, manager, thread))
-    urls = ",".join(f"127.0.0.1:{server.port}" for server, _, _ in instances)
-    config = RingConfig.parse(urls)
-    router = create_router(config=config, timeout=5.0)
-    router_thread = threading.Thread(target=router.serve_forever, daemon=True)
-    router_thread.start()
-    client = ServeClient(f"http://127.0.0.1:{router.port}")
-    yield router, config, client
-    router.shutdown()
-    router.server_close()
-    router_thread.join(timeout=10)
-    for server, manager, thread in instances:
-        server.shutdown()
-        server.server_close()
-        manager.stop()
-        thread.join(timeout=10)
 
 
 class TestTraceStitching:
@@ -141,10 +119,10 @@ class TestMetricsFederation:
         client.check(checks, wait_timeout=60.0)
 
         def value(text: str, name: str) -> float | None:
-            for family in parse_prometheus_text(text):
-                for sample in family.samples:
-                    if sample.name == name and not sample.labels:
-                        return sample.value
+            for line in text.splitlines():
+                series, _, sample = line.partition(" ")
+                if series == name:
+                    return float(sample)
             return None
 
         member_total = 0.0
@@ -163,17 +141,11 @@ class TestMetricsFederation:
         # per-shard series survive with a shard label
         for shard in config.shard_ids:
             assert f'{{shard="{shard}"}}' in federated
-        # the router's own counters lead the document
+        # the router's own counters are part of the document
         assert "repro_router_jobs_submitted" in federated
 
     def test_unreachable_member_surfaces_as_scrape_error(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        manager = JobManager(
-            jobs=1, queue_size=8, store=store, metrics=store.metrics
-        )
-        server = create_server(manager=manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server, thread = start_member(tmp_path / "store")
         dead = f"127.0.0.1:{free_port()}"
         config = RingConfig.parse(f"127.0.0.1:{server.port},{dead}")
         router = create_router(config=config, timeout=2.0)
@@ -183,10 +155,8 @@ class TestMetricsFederation:
             assert set(federation.errors) == {dead}
             assert federation.value("repro_cluster_scrape_errors") == 1
         finally:
-            server.shutdown()
-            server.server_close()
-            manager.stop()
-            thread.join(timeout=10)
+            stop_server(server, thread)
+            server.manager.stop()
             router.server_close()
 
     def test_cluster_metrics_json_twin(self, cluster):

@@ -124,6 +124,16 @@ class TestPrometheusExport:
         assert "repro_request_duration_seconds_sum 9.55" in text
         assert text.endswith("\n")
 
+    def test_non_integers_render_exactly(self):
+        reg = MetricsRegistry()
+        reg.add("gauge.small", 12.3456789)
+        reg.add("gauge.large", 1234567.5)
+        reg.observe("request.duration_seconds", 12.3456789, bounds=(0.1,))
+        text = to_prometheus_text(reg)
+        assert "repro_gauge_small 12.3456789\n" in text
+        assert "repro_gauge_large 1234567.5\n" in text
+        assert "repro_request_duration_seconds_sum 12.3456789\n" in text
+
     def test_empty_histogram_still_renders_family(self):
         reg = MetricsRegistry()
         reg.histogram("request.duration_seconds", bounds=(0.1,))

@@ -1,8 +1,13 @@
 """Tests for MetricsRegistry aggregation semantics."""
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.checking.result import CheckStats
+from repro.obs.export import to_prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
@@ -152,3 +157,69 @@ class TestRegistryMerge:
     def test_merge_returns_self(self):
         reg = MetricsRegistry()
         assert reg.merge(MetricsRegistry()) is reg
+
+
+def json_round_trip(registry: MetricsRegistry) -> MetricsRegistry:
+    """``to_dict`` → JSON text → ``from_dict``: the ``/v1/metrics`` hop."""
+    document = json.loads(json.dumps(registry.to_dict()))
+    return MetricsRegistry.from_dict(document)
+
+
+class TestJsonRoundTrip:
+    def test_serve_document_is_byte_identical(self):
+        reg = MetricsRegistry()
+        reg.add("serve.jobs_submitted", 7)
+        reg.add("serve.checks_submitted", 12)
+        reg.add("bdd.peak_unique_nodes", 4096)
+        reg.observe("router.submit_seconds", 0.004)
+        reg.observe("router.submit_seconds", 2.5)
+        text = to_prometheus_text(reg)
+        assert to_prometheus_text(json_round_trip(reg)) == text
+
+    def test_empty_registry(self):
+        restored = json_round_trip(MetricsRegistry())
+        assert restored.as_dict() == {}
+        assert restored.histograms == {}
+
+    @pytest.mark.parametrize(
+        "document",
+        [{}, {"values": []}, {"values": {}, "histograms": {"h": {}}}],
+    )
+    def test_malformed_document_raises(self, document):
+        with pytest.raises((AttributeError, KeyError, TypeError, ValueError)):
+            MetricsRegistry.from_dict(document)
+
+    @given(
+        gauges=st.dictionaries(
+            st.from_regex(r"[a-z][a-z_.]{0,10}", fullmatch=True),
+            st.one_of(
+                st.integers(min_value=0, max_value=10**9).map(float),
+                st.floats(min_value=0, max_value=1e6, allow_nan=False),
+            ),
+            max_size=6,
+        ),
+        hists=st.dictionaries(
+            st.from_regex(r"h[a-z_]{0,8}_seconds", fullmatch=True),
+            st.lists(
+                st.floats(min_value=0, max_value=50, allow_nan=False),
+                max_size=6,
+            ),
+            max_size=3,
+        ),
+    )
+    def test_random_registry_round_trips(self, gauges, hists):
+        reg = MetricsRegistry()
+        for name, value in gauges.items():
+            reg.add(name, value)
+        for name, values in hists.items():
+            for value in values:
+                reg.observe(name, value)
+        restored = json_round_trip(reg)
+        assert restored.as_dict() == reg.as_dict()
+        assert restored.histograms.keys() == reg.histograms.keys()
+        for name, hist in reg.histograms.items():
+            twin = restored.histograms[name]
+            assert twin.bounds == hist.bounds
+            assert twin.counts == hist.counts
+            assert twin.count == hist.count
+            assert twin.sum == hist.sum

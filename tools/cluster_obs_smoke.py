@@ -11,9 +11,12 @@ router promises:
   ``router.job`` span, with worker spans from *both* shards grafted
   under it, every span carrying the router-minted ``trace_id`` that
   the acceptance payload announced;
-* **federated metrics** — the router's ``/metrics`` aggregates equal
-  the *sum* of the two members' own scrapes, counter for counter, and
-  the ``/v1/cluster/metrics`` JSON twin agrees;
+* **federated metrics** — every counter of the two members' own
+  registries (``GET /v1/metrics``) reconciles exactly with the router's
+  ``/v1/cluster/metrics`` aggregates (summed, peaks maxed) and per-shard
+  series; the router's ``/metrics`` text agrees with that JSON twin
+  sample for sample, and every federated histogram family is
+  well-formed (cumulative buckets, ``+Inf`` equal to ``_count``);
 * **multiplexed progress** — a ServeClient consuming the router's
   ``GET /v1/jobs/<id>/events`` live sees one totally-ordered stream in
   which every relayed event is shard-tagged, shard-local order is
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import pathlib
 import subprocess
@@ -101,14 +103,74 @@ def steered_batch(config) -> list[dict]:
 
 def scalar_samples(text: str) -> dict[str, float]:
     """Unlabeled ``name -> value`` samples of one exposition document."""
-    from repro.obs.promtext import parse_prometheus_text
+    from cluster_smoke import parse_prometheus
 
-    samples: dict[str, float] = {}
-    for family in parse_prometheus_text(text):
-        for sample in family.samples:
-            if not sample.labels:
-                samples[sample.name] = sample.value
-    return samples
+    return {
+        series: value
+        for series, value in parse_prometheus(text).items()
+        if "{" not in series
+    }
+
+
+def histogram_groups(samples: dict, name: str) -> dict[str, dict]:
+    """Histogram family ``name``'s series per non-``le`` label set, each
+    re-keyed unlabelled (``name_bucket{le="..."}``, ``name_sum``,
+    ``name_count``) for :func:`serve_smoke.check_histogram`."""
+    groups: dict[str, dict] = {}
+    for series, value in samples.items():
+        base, _, labels = series.partition("{")
+        if base not in (f"{name}_bucket", f"{name}_sum", f"{name}_count"):
+            continue
+        pairs = [pair for pair in labels.rstrip("}").split(",") if pair]
+        le = [pair for pair in pairs if pair.startswith("le=")]
+        rest = ",".join(pair for pair in pairs if not pair.startswith("le="))
+        key = base + (f"{{{le[0]}}}" if le else "")
+        groups.setdefault(rest, {})[key] = value
+    return groups
+
+
+def expected_cluster_totals(registries: list[dict]) -> dict[str, float]:
+    """The router's aggregates, recomputed from member ``/v1/metrics``
+    values: sums, except ``_PEAK_SUFFIXES`` names, which take the max."""
+    from repro.obs.metrics import _PEAK_SUFFIXES
+
+    totals: dict[str, float] = {}
+    for registry in registries:
+        for name, value in registry["values"].items():
+            name = name.removeprefix("cluster.")
+            if name.endswith(_PEAK_SUFFIXES):
+                totals[name] = max(totals.get(name, 0.0), value)
+            else:
+                totals[name] = totals.get(name, 0.0) + value
+    return totals
+
+
+def prom_name(name: str, prefix: str) -> str:
+    return prefix + "_" + "".join(c if c.isalnum() else "_" for c in name)
+
+
+def settled_metrics(clients: dict) -> tuple[dict, dict, str]:
+    """Members' registries, the router's JSON twin and its text, taken
+    while no member counter moves (peer pushes replicate
+    asynchronously after a batch finishes)."""
+    for _ in range(20):
+        before = {
+            name: clients[name]._request("GET", "/v1/metrics")
+            for name in ("a", "b")
+        }
+        twin = clients["router"]._request("GET", "/v1/cluster/metrics")
+        text = clients["router"].metrics_text()
+        after = {
+            name: clients[name]._request("GET", "/v1/metrics")
+            for name in ("a", "b")
+        }
+        if [d["values"] for d in before.values()] == [
+            d["values"] for d in after.values()
+        ]:
+            return before, twin, text
+        time.sleep(0.5)
+    fail("member registries never settled")
+    raise AssertionError  # unreachable: fail() exits
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -257,10 +319,13 @@ def main(argv: list[str] | None = None) -> int:
         )
 
         # -- federated metrics reconcile exactly --------------------------
+        from cluster_smoke import parse_prometheus
+        from serve_smoke import check_histogram
+
         member_texts = {
             name: clients[name].metrics_text() for name in ("a", "b")
         }
-        federated_text = clients["router"].metrics_text()
+        registries, twin, federated_text = settled_metrics(clients)
         federated = scalar_samples(federated_text)
         members = {
             name: scalar_samples(text)
@@ -282,21 +347,39 @@ def main(argv: list[str] | None = None) -> int:
             fail("repro_cluster_members != 2")
         if federated.get("repro_cluster_scrape_errors") != 0:
             fail("scrape errors on an all-healthy cluster")
-        twin = clients["router"]._request("GET", "/v1/cluster/metrics")
         if twin["scraped"] != 2 or twin["errors"]:
             fail(f"JSON twin disagrees: {twin['scraped']}, {twin['errors']}")
+        # counter for counter: members' registries against the twin
+        order = [registries[name] for name in ("a", "b")]
+        for name, value in expected_cluster_totals(order).items():
+            got = twin["aggregates"].get(prom_name(name, "repro_cluster"))
+            if got != value:
+                fail(f"cluster {name}: {got} != member fold {value}")
+        for name, shard in zip(("a", "b"), config.shard_ids):
+            for counter, value in registries[name]["values"].items():
+                got = twin["shards"][shard].get(prom_name(counter, "repro"))
+                if got != value:
+                    fail(f"{shard} {counter}: twin {got} != member {value}")
+        # the text document renders every twin sample exactly
         for name, value in twin["aggregates"].items():
-            rendered = federated.get(name)
-            # the text document renders through %g (6 significant
-            # digits); the JSON twin carries full float precision
-            if rendered is None or not math.isclose(
-                rendered, value, rel_tol=1e-5, abs_tol=1e-9
-            ):
-                fail(f"JSON twin {name}={value} != text {rendered}")
+            if federated.get(name) != value:
+                fail(f"JSON twin {name}={value} != text {federated.get(name)}")
+        samples = parse_prometheus(federated_text)
+        types = {
+            line.split()[2]: line.split()[3]
+            for line in federated_text.splitlines()
+            if line.startswith("# TYPE ")
+        }
+        families = [n for n, kind in types.items() if kind == "histogram"]
+        if "repro_cluster_request_duration_seconds" not in families:
+            fail("federated document lacks the request duration histogram")
+        for family in families:
+            for group in histogram_groups(samples, family).values():
+                check_histogram(group, types, family)
         print(
-            "metrics: federated aggregates reconcile with member scrapes "
+            "metrics: federated aggregates reconcile with member registries "
             f"({int(federated['repro_cluster_serve_checks_submitted'])} "
-            "checks clusterwide)"
+            f"checks clusterwide, {len(families)} histogram families)"
         )
 
         # -- the status CLI -----------------------------------------------
