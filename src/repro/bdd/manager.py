@@ -127,6 +127,21 @@ def default_reorder() -> str:
     return _DEFAULT_REORDER
 
 
+def _release(fn) -> None:
+    """Empty the closure cells of a finished recursive kernel.
+
+    A nested recursive ``rec`` refers to itself through its closure
+    cell.  That reference cycle also holds what ``rec`` captured — the
+    manager's node arrays, caches and bound methods — so without a break
+    a dropped manager lives on until the cyclic garbage collector runs,
+    and peak memory depends on when that happens.  A kernel that defines
+    its ``rec`` ends it with ``del rec``; one handed a closure by
+    another method (:meth:`BDD._quantifier`) calls this.
+    """
+    for cell in fn.__closure__ or ():
+        del cell.cell_contents
+
+
 class BDD:
     """A BDD manager: variable ordering, unique table, and operations.
 
@@ -959,7 +974,10 @@ class BDD:
                 c.inserts += 2
             return r
 
-        return rec(u)
+        try:
+            return rec(u)
+        finally:
+            del rec  # see _release
 
     def apply(self, op: str, u: int, v: int) -> int:
         """Apply a binary boolean operator by name.
@@ -1104,7 +1122,11 @@ class BDD:
     def _quantify(self, u: int, levels: frozenset[int], conj: bool) -> int:
         if u <= 1:
             return u
-        return self._quantifier(levels, conj)(u)
+        quantify = self._quantifier(levels, conj)
+        try:
+            return quantify(u)
+        finally:
+            _release(quantify)
 
     def and_exists(self, u: int, v: int, names: Iterable[str]) -> int:
         """Fused ``exists names. (u and v)`` — the relational product.
@@ -1175,7 +1197,11 @@ class BDD:
             c.inserts += 1
             return result
 
-        return rec(u, v)
+        try:
+            return rec(u, v)
+        finally:
+            del rec
+            _release(quantify)
 
     # ------------------------------------------------------------------
     # renaming and cofactoring
@@ -1231,7 +1257,10 @@ class BDD:
             c.inserts += 1
             return result
 
-        return rec(u)
+        try:
+            return rec(u)
+        finally:
+            del rec  # see _release
 
     def restrict(self, u: int, assignment: Mapping[str, bool]) -> int:
         """Cofactor: fix the given variables to constants."""
@@ -1293,7 +1322,10 @@ class BDD:
             return c
 
         top = min(self._level[u], nvars)
-        return count(u) * (2**top)
+        try:
+            return count(u) * (2**top)
+        finally:
+            del count  # see _release
 
     def pick(self, u: int) -> dict[str, bool] | None:
         """One satisfying assignment (partial — only decided variables), or None."""
@@ -1335,7 +1367,10 @@ class BDD:
                     yield from rec(m, idx + 1)
                     del partial[name]
 
-        yield from rec(u, 0)
+        try:
+            yield from rec(u, 0)
+        finally:
+            del rec  # see _release
 
     # ------------------------------------------------------------------
     # support

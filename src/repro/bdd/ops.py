@@ -38,7 +38,10 @@ def transfer(u: int, src: BDD, dst: BDD, _memo: dict[int, int] | None = None) ->
         memo[n] = result
         return result
 
-    return rec(u)
+    try:
+        return rec(u)
+    finally:
+        del rec  # a self-referencing closure would keep both managers alive
 
 
 def evaluate(bdd: BDD, u: int, assignment: Mapping[str, bool]) -> bool:
@@ -84,5 +87,8 @@ def dnf(bdd: BDD, u: int, names: list[str] | None = None) -> list[dict[str, bool
         rec(bdd.high(n), path)
         del path[name]
 
-    rec(u, {})
+    try:
+        rec(u, {})
+    finally:
+        del rec  # a self-referencing closure would keep the manager alive
     return cubes

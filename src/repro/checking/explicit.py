@@ -82,6 +82,13 @@ class ExplicitChecker:
         self._iterations = 0
         self._evaluated = 0
 
+    def reset(self) -> None:
+        """Forget every memoized state set: the next check does, and
+        reports, the work of a fresh checker over the same system."""
+        self._memo.clear()
+        self._fair_memo.clear()
+        self._evaluated = 0
+
     # ------------------------------------------------------------------
     # state indexing
     # ------------------------------------------------------------------

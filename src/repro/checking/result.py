@@ -174,6 +174,23 @@ class CheckStats:
         return out
 
 
+def bound_text(formula: Formula, restriction: Restriction) -> dict:
+    """The text a stored verdict is bound to.
+
+    ``formula`` and ``restriction`` rendered exactly as
+    :meth:`CheckResult.to_dict` writes them (``str()`` round-trips
+    through :func:`repro.logic.parser.parse_ctl`).  Fingerprints hash
+    the same text, so a caller renders it once and hands it to both.
+    """
+    return {
+        "formula": str(formula),
+        "restriction": {
+            "init": str(restriction.init),
+            "fairness": [str(f) for f in restriction.fairness],
+        },
+    }
+
+
 @dataclass
 class CheckResult:
     """Verdict of ``M ⊨_r f``.
@@ -195,18 +212,14 @@ class CheckResult:
         return self.holds
 
     def to_dict(self) -> dict:
-        """JSON-safe form of the verdict (see :meth:`from_dict`).
+        """JSON-safe form of the verdict (see :meth:`from_dict` and
+        :meth:`replayed`).
 
-        Formulas serialize through their textual form (``str(formula)``
-        round-trips through :func:`repro.logic.parser.parse_ctl`);
+        Formula and restriction serialize as :func:`bound_text`;
         failing states become sorted atom lists.
         """
         return {
-            "formula": str(self.formula),
-            "restriction": {
-                "init": str(self.restriction.init),
-                "fairness": [str(f) for f in self.restriction.fairness],
-            },
+            **bound_text(self.formula, self.restriction),
             "holds": self.holds,
             "failing_states": [sorted(s) for s in self.failing_states],
             "num_failing": self.num_failing,
@@ -215,7 +228,8 @@ class CheckResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CheckResult":
-        """Rebuild a verdict from :meth:`to_dict` output."""
+        """Rebuild a verdict from :meth:`to_dict` output, parsing its
+        formula and restriction back from their text."""
         from repro.logic.parser import parse_ctl
 
         restriction = Restriction(
@@ -224,8 +238,42 @@ class CheckResult:
                 parse_ctl(f) for f in data["restriction"]["fairness"]
             ),
         )
+        return cls._around(data, parse_ctl(data["formula"]), restriction)
+
+    @classmethod
+    def replayed(
+        cls,
+        data: dict,
+        formula: Formula,
+        restriction: Restriction,
+        text: dict | None = None,
+    ) -> "CheckResult | None":
+        """The stored verdict ``data`` as the answer to *this* check.
+
+        A store record is only an answer to the check it was written
+        for: its formula and restriction text must equal
+        :func:`bound_text` of the objects in hand (pass ``text`` when the
+        caller already rendered it, e.g. for the fingerprint).  On a
+        match the verdict is rebuilt around ``formula`` and
+        ``restriction`` themselves — nothing is re-parsed; on a mismatch
+        the result is ``None`` and the caller treats the record as a
+        miss.
+        """
+        if text is None:
+            text = bound_text(formula, restriction)
+        if (
+            data.get("formula") != text["formula"]
+            or data.get("restriction") != text["restriction"]
+        ):
+            return None
+        return cls._around(data, formula, restriction)
+
+    @classmethod
+    def _around(
+        cls, data: dict, formula: Formula, restriction: Restriction
+    ) -> "CheckResult":
         return cls(
-            formula=parse_ctl(data["formula"]),
+            formula=formula,
             restriction=restriction,
             holds=bool(data["holds"]),
             failing_states=tuple(

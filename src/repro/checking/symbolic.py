@@ -60,6 +60,14 @@ class SymbolicChecker:
         self._fair_memo: dict[frozenset[Formula], int] = {}
         self._iterations = 0
 
+    def reset(self) -> None:
+        """Forget every memoized state set and the manager's operation
+        caches: the next check does, and reports, the work of a fresh
+        checker over the same compiled system."""
+        self._memo.clear()
+        self._fair_memo.clear()
+        self.bdd.clear_caches()
+
     # ------------------------------------------------------------------
     # set operators (state sets are BDDs over current variables)
     # ------------------------------------------------------------------

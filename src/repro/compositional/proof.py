@@ -163,10 +163,7 @@ def _atoms_of(system: Component) -> frozenset[str]:
 
 def _is_reflexive(system: Component) -> bool:
     if isinstance(system, SymbolicSystem):
-        diff = system.bdd.apply(
-            "diff", system.identity_relation(), system.transition
-        )
-        return diff == 0  # identity contained in the relation
+        return system.is_reflexive()
     return system.reflexive
 
 
@@ -224,8 +221,11 @@ class CompositionProof:
         (:func:`~repro.store.fingerprint.obligation_fingerprint`) and
         probed in the store before it is discharged — sequentially or
         through the pool, which never even submits a cached obligation.
-        A hit replays the stored :class:`CheckResult` byte-identically;
-        a miss checks and writes back.  Editing one component of a
+        A hit replays the stored :class:`CheckResult` byte-identically,
+        bound to the obligation in hand: the record's formula and
+        restriction text must match it, or the record is a miss
+        (:meth:`CheckResult.replayed`).  A miss checks and writes back
+        over the record.  Editing one component of a
         composition re-checks only that component's obligations.  The
         per-run hit/miss record is :meth:`cache_ledger`;
         :meth:`seal_cache` writes the proof-level record.
@@ -303,18 +303,22 @@ class CompositionProof:
 
         With a store attached, the obligation's fingerprint is probed
         first: a hit replays the stored result — verdict, stats and
-        failure explanation byte-identical to the run that wrote it —
-        without building a checker; a miss checks and writes back
-        (failures too, so a failing recheck replays the same error).
+        failure explanation byte-identical to the run that wrote it,
+        around this ``formula`` and ``restriction`` — without building a
+        checker; a miss checks and writes back (failures too, so a
+        failing recheck replays the same error).  A record written for
+        another formula or restriction is a miss.
         """
         fingerprint = ""
         if self.cache is not None and name in self.components:
-            fingerprint = self.cache.fingerprint(
+            fingerprint, text = self.cache.address(
                 name, self.components[name], formula, restriction
             )
-            result = self.cache.load(fingerprint)
+            result = self.cache.load(fingerprint, formula, restriction, text)
             if result is not None:
-                self.cache.note(name, fingerprint, True, result)
+                self.cache.note(
+                    name, fingerprint, True, result, text["formula"]
+                )
                 self._publish_cache_hit(name, result)
                 if not result:
                     raise self._failed_obligation(
@@ -330,7 +334,9 @@ class CompositionProof:
             result = self._expansion(name).holds(formula, restriction)
         if fingerprint:
             self.cache.save(fingerprint, formula, result)
-            self.cache.note(name, fingerprint, False, result)
+            self.cache.note(
+                name, fingerprint, False, result, text["formula"]
+            )
         if not result:
             raise self._failed_obligation(name, formula, restriction, result)
         return result
@@ -387,7 +393,8 @@ class CompositionProof:
         :meth:`~repro.parallel.pool.ObligationScheduler.run_cached`:
         cached obligations are replayed parent-side and **never
         submitted to the pool** — a hit costs a JSON read, not a worker
-        round-trip.
+        round-trip.  A hit is bound to the obligation in hand: a record
+        written for another formula or restriction is a miss.
         """
         from repro.bdd.manager import default_reorder
         from repro.parallel.pool import shared_scheduler
@@ -399,6 +406,13 @@ class CompositionProof:
         for name, formula, restriction in triples:
             spec = self._spec(name)  # ProofError for unknown names
             extra = self.sigma_star - _atoms_of(self.components[name])
+            fingerprint, text = (
+                cache.address(
+                    name, self.components[name], formula, restriction
+                )
+                if cache is not None
+                else ("", None)
+            )
             items.append(
                 WorkItem(
                     system=spec,
@@ -417,13 +431,8 @@ class CompositionProof:
                     progress_interval=(
                         progress.interval if progress is not None else 0.05
                     ),
-                    fingerprint=(
-                        cache.fingerprint(
-                            name, self.components[name], formula, restriction
-                        )
-                        if cache is not None
-                        else ""
-                    ),
+                    fingerprint=fingerprint,
+                    text=text,
                 )
             )
         scheduler = shared_scheduler(self.parallel)
@@ -443,6 +452,7 @@ class CompositionProof:
                     item.fingerprint,
                     outcome.store_cached,
                     outcome.result,
+                    item.text["formula"],
                 )
         return [outcome.result for outcome in outcomes]
 

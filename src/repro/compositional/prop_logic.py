@@ -2,10 +2,12 @@
 
 Deductive steps in the paper ("by predicate calculus", "propositional
 logic") become *decision procedures* here: tautology and entailment are
-decided with a throwaway BDD over the formula's atoms, and the ACTL
-polarity check identifies formulas whose truth survives strengthening the
-fairness constraints (restricting path quantification to fewer paths) —
-the semantic generalization of the paper's Lemma 11.
+decided with a BDD over the formula's atoms, once per formula per
+process (a proof rebuilt on every recheck re-states the same side
+conditions), and the ACTL polarity check identifies formulas whose truth
+survives strengthening the fairness constraints (restricting path
+quantification to fewer paths) — the semantic generalization of the
+paper's Lemma 11.
 """
 
 from __future__ import annotations
@@ -34,19 +36,38 @@ from repro.logic.ctl import (
 )
 
 
+#: Propositional formula → validity, bounded FIFO.  Validity is a pure
+#: function of the formula, and every run of a proof re-decides the same
+#: side conditions (AFS-2's ``I ⇒ Inv`` and ``Inv ⇒ Afs1``).  Only
+#: propositional formulas are ever inserted.
+_TAUTOLOGY_MEMO: dict[Formula, bool] = {}
+_TAUTOLOGY_MEMO_CAP = 64
+
+
 def is_tautology(f: Formula) -> bool:
-    """Decide validity of a propositional formula (BDD-based).
+    """Decide validity of a propositional formula.
+
+    The first call on a formula builds a BDD over its atoms; later calls
+    on an equal formula answer from a process-wide memo.  A temporal
+    formula raises :class:`LogicError` on every call.
 
     >>> from repro.logic import parse_ctl
     >>> is_tautology(parse_ctl("p | !p"))
     True
     """
+    valid = _TAUTOLOGY_MEMO.get(f)
+    if valid is not None:
+        return valid
     if not is_propositional(f):
         raise LogicError(f"tautology check needs a propositional formula: {f}")
     bdd = BDD()
     for name in sorted(f.atoms()):
         bdd.add_var(name)
-    return prop_to_bdd(bdd, f) == BDD_TRUE
+    valid = prop_to_bdd(bdd, f) == BDD_TRUE
+    while len(_TAUTOLOGY_MEMO) >= _TAUTOLOGY_MEMO_CAP:
+        _TAUTOLOGY_MEMO.pop(next(iter(_TAUTOLOGY_MEMO)))
+    _TAUTOLOGY_MEMO[f] = valid
+    return valid
 
 
 def entails(f: Formula, g: Formula) -> bool:

@@ -286,9 +286,22 @@ def is_propositional(f: Formula) -> bool:
 
     The paper's rules restrict ``p`` and ``q`` to propositional formulas
     ("atomic propositions or boolean combinations of atomic propositions").
+    The answer is cached on ``f`` (formulas are immutable): proof rules
+    ask it of the same formula several times.
     """
-    temporal = (EX, AX, EF, AF, EG, AG, EU, AU)
-    return not any(isinstance(g, temporal) for g in subformulas(f))
+    cached = f.__dict__.get("_propositional_cache")
+    if cached is None:
+        temporal = (EX, AX, EF, AF, EG, AG, EU, AU)
+        cached = True
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, temporal):
+                cached = False
+                break
+            stack.extend(g.children())
+        object.__setattr__(f, "_propositional_cache", cached)
+    return cached
 
 
 def expand_derived(f: Formula) -> Formula:

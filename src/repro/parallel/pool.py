@@ -29,6 +29,7 @@ whole process (workers are daemonic; they die with the parent).
 from __future__ import annotations
 
 import atexit
+import itertools
 import multiprocessing
 import os
 import queue as queue_module
@@ -83,6 +84,10 @@ class ObligationScheduler:
         self.jobs = jobs
         self.metrics = MetricsRegistry()
         self._pool = None
+        #: Batch numbers: workers share a checker's memo only between
+        #: items of one :meth:`run` call (see
+        #: :func:`~repro.parallel.worker.checker_for`).
+        self._batches = itertools.count(1)
         self._progress_queue = None
         self._progress_thread: threading.Thread | None = None
         self._progress_listeners: dict[str, Callable[[dict], None]] = {}
@@ -221,8 +226,10 @@ class ObligationScheduler:
             # submission order regardless of completion order, and a
             # long item never blocks dispatch of the ones behind it
             # (imap's chunking would).
+            batch = next(self._batches)
             handles = [
-                pool.apply_async(run_work_item, (item,)) for item in items
+                pool.apply_async(run_work_item, (item, batch))
+                for item in items
             ]
             outcomes = []
             for handle in handles:
@@ -256,8 +263,11 @@ class ObligationScheduler:
         Items carrying a ``fingerprint`` are probed in ``store`` first;
         a hit replays the stored :class:`CheckResult` byte-identically
         as a synthesized outcome (``store_cached=True``) **without ever
-        entering the pool** — the cost of a hit is one JSON read.  Only
-        the misses are submitted via :meth:`run`, and their results are
+        entering the pool** — the cost of a hit is one JSON read.  The
+        replay is bound to the item: it carries the item's own formula
+        and restriction, and a record whose formula or restriction text
+        differs (:meth:`CheckResult.replayed`) is a miss.  Only the
+        misses are submitted via :meth:`run`, and their results are
         written back under their fingerprints.  Outcomes are returned
         in submission order, hits and misses interleaved.
 
@@ -279,8 +289,14 @@ class ObligationScheduler:
                 if item.fingerprint
                 else None
             )
-            if record is not None and record.result:
-                result = CheckResult.from_dict(record.result)
+            result = (
+                CheckResult.replayed(
+                    record.result, item.formula, item.restriction, item.text
+                )
+                if record is not None and record.result
+                else None
+            )
+            if result is not None:
                 outcomes[index] = WorkOutcome(
                     result=result,
                     label=item.label,

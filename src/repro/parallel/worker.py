@@ -10,9 +10,14 @@ as JSONL records plus the wall-clock origin needed to rebase them.
 
 The cache is keyed by ``(spec, engine, expand_to, reorder)``: a pool worker
 compiles each component expansion at most once and reuses the checker
-(including its sub-formula memo tables) for every later obligation on
-the same system — the process-pool analogue of the sequential engine's
-per-component expansion-checker cache.
+for every later obligation on the same system — the process-pool
+analogue of the sequential engine's per-component expansion-checker
+cache.  The checker's sub-formula memo is shared only within one
+scheduler batch (one rule's obligations, or one module's specs): the
+first item of a new batch resets it
+(:meth:`~repro.checking.symbolic.SymbolicChecker.reset`), so a pooled
+check reports the work an in-process check does, not an answer from a
+memo an earlier proof left behind.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ STALL_HOOK_ENV = "REPRO_PROGRESS_TEST_STALL"
 
 #: Per-process cache: (spec, engine, expand_to, reorder) → checker.
 _CHECKERS: dict = {}
+#: Checker cache key → the batch whose items last used that checker.
+_CHECKER_BATCH: dict = {}
 #: Per-process cache: (spec, engine, reorder) → built component/composite
 #: system.  ``reorder`` is the manager default in force at build time —
 #: a system sifted under one mode must not be served for another.
@@ -62,6 +69,7 @@ _SYSTEMS: dict = {}
 def clear_worker_caches() -> None:
     """Drop every cached system and checker (tests / memory pressure)."""
     _CHECKERS.clear()
+    _CHECKER_BATCH.clear()
     _SYSTEMS.clear()
 
 
@@ -143,8 +151,18 @@ def _cached_system(spec: SystemSpec, engine: str):
     return system
 
 
-def checker_for(spec: SystemSpec, engine: str, expand_to: tuple[str, ...]):
-    """The (cached) checker for a spec's expansion over extra atoms."""
+def checker_for(
+    spec: SystemSpec,
+    engine: str,
+    expand_to: tuple[str, ...],
+    batch: int | None = None,
+):
+    """The (cached) checker for a spec's expansion over extra atoms.
+
+    A cached checker keeps its memo only for further items of the
+    ``batch`` that last used it; otherwise (``batch`` ``None`` included)
+    it is reset first.
+    """
     from repro.bdd.manager import default_reorder
     from repro.compositional.proof import _Backend
     from repro.systems.system import System
@@ -153,6 +171,9 @@ def checker_for(spec: SystemSpec, engine: str, expand_to: tuple[str, ...]):
     key = (spec, engine, expand_to, default_reorder())
     cached = _CHECKERS.get(key)
     if cached is not None:
+        if batch is None or _CHECKER_BATCH.get(key) != batch:
+            cached.reset()
+            _CHECKER_BATCH[key] = batch
         return cached, True
     system = _cached_system(spec, engine)
     backend = _Backend(engine)  # type: ignore[arg-type]
@@ -167,6 +188,7 @@ def checker_for(spec: SystemSpec, engine: str, expand_to: tuple[str, ...]):
         checker = backend.component_checker(system)
     assert isinstance(system, (System, SymbolicSystem))
     _CHECKERS[key] = checker
+    _CHECKER_BATCH[key] = batch
     return checker, False
 
 
@@ -181,9 +203,13 @@ def _progress_sink(event: dict) -> None:
         pass  # full queue / torn-down parent: drop the heartbeat
 
 
-def run_work_item(item: WorkItem) -> WorkOutcome:
+def run_work_item(item: WorkItem, batch: int | None = None) -> WorkOutcome:
     """Execute one work item in this process; never raises on a failed
-    check — the verdict travels back inside the :class:`CheckResult`."""
+    check — the verdict travels back inside the :class:`CheckResult`.
+
+    ``batch`` identifies the scheduler batch the item belongs to (see
+    :func:`checker_for`); ``None`` treats the item as a batch of its own.
+    """
     from repro.bdd.manager import set_default_reorder
 
     record = item.record_spans
@@ -221,7 +247,7 @@ def run_work_item(item: WorkItem) -> WorkOutcome:
             root_attrs["trace_id"] = item.trace_id
         with TRACER.span("worker.item", category="parallel", **root_attrs):
             checker, cached = checker_for(
-                item.system, item.engine, item.expand_to
+                item.system, item.engine, item.expand_to, batch
             )
             t1 = time.perf_counter()
             bdd_before = (

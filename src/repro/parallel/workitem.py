@@ -158,6 +158,11 @@ class WorkItem:
     #: result store before submitting the item to the pool and writes
     #: the outcome back on a miss.  Empty items always execute.
     fingerprint: str = ""
+    #: :func:`repro.checking.result.bound_text` of ``formula`` and
+    #: ``restriction`` when the caller rendered it for the fingerprint;
+    #: ``run_cached`` binds a stored record to it (and renders it
+    #: itself when ``None``).
+    text: dict | None = field(default=None, compare=False)
 
 
 @dataclass

@@ -4,7 +4,9 @@
 ``repro check --json`` and the serving layer's job executor.  It checks
 every ``SPEC`` of an SMV module, consulting a :class:`~repro.store.store.ResultStore`
 first: specs whose fingerprint has a record are replayed from disk
-(verdict, statistics, decoded counterexample), the rest are computed —
+(verdict, statistics, decoded counterexample) around the spec and
+restriction in hand, unless the record was written for another spec or
+restriction text (:meth:`CheckResult.replayed`); the rest are computed —
 in-process, or through an :class:`~repro.parallel.pool.ObligationScheduler`
 when one is supplied — and written back.
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.checking.result import CheckResult, CheckStats
+from repro.checking.result import CheckResult, CheckStats, bound_text
 from repro.logic.ctl import TRUE
 from repro.logic.restriction import Restriction
 from repro.obs.tracer import TRACER
@@ -140,9 +142,12 @@ def cached_check(
     )
     options = {"reflexive": bool(reflexive)}
     spec_texts = [spec_to_str(s) for s in model.module.specs]
+    bound = [bound_text(spec, restriction) for spec in model.specs]
     fingerprints = [
-        spec_fingerprint(model, spec, restriction, engine, options)
-        for spec in model.specs
+        spec_fingerprint(
+            model, spec, restriction, engine, options, text=text
+        )
+        for spec, text in zip(model.specs, bound)
     ]
     count = len(model.specs)
     results: list[CheckResult | None] = [None] * count
@@ -160,19 +165,26 @@ def cached_check(
             if store is not None:
                 for i, fp in enumerate(fingerprints):
                     record = store.get(fp, kind="spec")
-                    if record is not None and record.result:
-                        results[i] = CheckResult.from_dict(record.result)
-                        counterexamples[i] = record.counterexample
-                        cached_flags[i] = True
-                        if progress is not None:
-                            progress.publish(
-                                {
-                                    "kind": "obligation.cache_hit",
-                                    "obligation": progress.obligation(i),
-                                    "engine": engine,
-                                    "holds": results[i].holds,
-                                }
-                            )
+                    if record is None or not record.result:
+                        continue
+                    # a record written for another spec or restriction
+                    # is a miss
+                    results[i] = CheckResult.replayed(
+                        record.result, model.specs[i], restriction, bound[i]
+                    )
+                    if results[i] is None:
+                        continue
+                    counterexamples[i] = record.counterexample
+                    cached_flags[i] = True
+                    if progress is not None:
+                        progress.publish(
+                            {
+                                "kind": "obligation.cache_hit",
+                                "obligation": progress.obligation(i),
+                                "engine": engine,
+                                "holds": results[i].holds,
+                            }
+                        )
         miss_indices = [i for i in range(count) if results[i] is None]
         root.add("store.spec_hits", count - len(miss_indices))
         root.add("store.spec_misses", len(miss_indices))

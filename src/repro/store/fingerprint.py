@@ -38,6 +38,7 @@ import json
 from dataclasses import replace
 from typing import Iterable
 
+from repro.checking.result import bound_text
 from repro.logic.ctl import Formula
 from repro.logic.restriction import Restriction
 from repro.smv.elaborate import SmvModel
@@ -90,21 +91,28 @@ def spec_fingerprint(
     restriction: Restriction,
     engine: str,
     options: dict | None = None,
+    *,
+    text: dict | None = None,
 ) -> str:
     """The content address of one check ``M ⊨_r f``.
 
     ``spec`` is the *elaborated* CTL formula (over encoded atoms), so
     ``DEFINE`` expansion and enum encoding are already normalized away.
     ``options`` holds engine options (e.g. ``{"reflexive": True}``) —
-    only JSON-safe values.
+    only JSON-safe values.  ``text`` is
+    :func:`~repro.checking.result.bound_text` of ``spec`` and
+    ``restriction`` when the caller already rendered it (to bind a
+    replayed record to the same text).
     """
+    if text is None:
+        text = bound_text(spec, restriction)
     return fingerprint_payload(
         {
             "schema": STORE_SCHEMA_VERSION,
             "kind": "check",
             "module": behavior_text(model),
-            "spec": str(spec),
-            "restriction": _restriction_payload(restriction),
+            "spec": text["formula"],
+            "restriction": text["restriction"],
             "engine": engine,
             "options": _options_payload(options),
         }
@@ -138,11 +146,21 @@ def report_fingerprint(
 # ----------------------------------------------------------------------
 # per-obligation fingerprints (the compositional proof engine)
 # ----------------------------------------------------------------------
-#: Source-text → elaborated model, bounded FIFO.  Elaboration is pure,
+#: Bounded FIFO memos.  Elaboration and canonical rendering are pure,
 #: and an incremental recheck fingerprints every component on every run
-#: — the memo keeps the replay path free of repeated parser work.
+#: — the memos keep the replay path free of repeated parser and
+#: pretty-printer work.  Source text → elaborated model:
 _MODEL_MEMO: dict[str, SmvModel] = {}
-_MODEL_MEMO_CAP = 64
+#: ``(SMV source, reflexive)`` → :func:`component_fingerprint` digest:
+_DIGEST_MEMO: dict[tuple[str, bool], str] = {}
+_MEMO_CAP = 64
+
+
+def _memo_put(memo: dict, key, value):
+    while len(memo) >= _MEMO_CAP:
+        memo.pop(next(iter(memo)))
+    memo[key] = value
+    return value
 
 
 def _model_of_source(source: str) -> SmvModel:
@@ -161,10 +179,19 @@ def _model_of_source(source: str) -> SmvModel:
         model = SmvModel(next(iter(program.values())))
     else:
         model = SmvModel(flatten(program))
-    while len(_MODEL_MEMO) >= _MODEL_MEMO_CAP:
-        _MODEL_MEMO.pop(next(iter(_MODEL_MEMO)))
-    _MODEL_MEMO[source] = model
-    return model
+    return _memo_put(_MODEL_MEMO, source, model)
+
+
+def _smv_key(system) -> tuple[str, bool] | None:
+    """``(SMV source, reflexive)`` of a symbolic system carrying its
+    source, else ``None``."""
+    from repro.systems.symbolic import SymbolicSystem
+
+    if isinstance(system, SymbolicSystem):
+        source = getattr(system, "smv_source", None)
+        if source is not None:
+            return source, bool(getattr(system, "smv_reflexive", True))
+    return None
 
 
 def _component_payload(system) -> dict:
@@ -182,14 +209,14 @@ def _component_payload(system) -> dict:
     from repro.systems.symbolic import SymbolicSystem
     from repro.systems.system import System
 
+    key = _smv_key(system)
+    if key is not None:
+        return {
+            "form": "smv",
+            "module": behavior_text(_model_of_source(key[0])),
+            "reflexive": key[1],
+        }
     if isinstance(system, SymbolicSystem):
-        source = getattr(system, "smv_source", None)
-        if source is not None:
-            return {
-                "form": "smv",
-                "module": behavior_text(_model_of_source(source)),
-                "reflexive": bool(getattr(system, "smv_reflexive", True)),
-            }
         system = system.to_explicit()
     if isinstance(system, System):
         return {
@@ -209,11 +236,22 @@ def component_fingerprint(system) -> str:
     This is the per-component half of :func:`obligation_fingerprint`:
     two components with the same canonical behavior share it, and any
     semantic edit (in the canonicalized sense above) changes it.
+    Digests of SMV-sourced components are memoized per ``(source,
+    reflexive)``, so an unchanged component is rendered once per
+    process.
     """
+    key = _smv_key(system)
+    if key is not None:
+        digest = _DIGEST_MEMO.get(key)
+        if digest is not None:
+            return digest
     payload = _component_payload(system)
     payload["schema"] = STORE_SCHEMA_VERSION
     payload["kind"] = "component"
-    return fingerprint_payload(payload)
+    digest = fingerprint_payload(payload)
+    if key is not None:
+        _memo_put(_DIGEST_MEMO, key, digest)
+    return digest
 
 
 def obligation_fingerprint(
@@ -223,6 +261,8 @@ def obligation_fingerprint(
     restriction: Restriction,
     engine: str,
     options: dict | None = None,
+    *,
+    text: dict | None = None,
 ) -> str:
     """The content address of one compositional proof obligation.
 
@@ -237,21 +277,24 @@ def obligation_fingerprint(
     Unlike :func:`spec_fingerprint`, ``options`` here includes the BDD
     **reorder mode**: obligation records feed proof certificates whose
     byte-identity guarantee is stated per engine configuration, so each
-    mode keeps its own records.
+    mode keeps its own records.  ``text`` is as for
+    :func:`spec_fingerprint`.
     """
     digest = (
         component
         if isinstance(component, str)
         else component_fingerprint(component)
     )
+    if text is None:
+        text = bound_text(formula, restriction)
     return fingerprint_payload(
         {
             "schema": STORE_SCHEMA_VERSION,
             "kind": "obligation",
             "component": digest,
             "sigma_star": sorted(sigma_star),
-            "spec": str(formula),
-            "restriction": _restriction_payload(restriction),
+            "spec": text["formula"],
+            "restriction": text["restriction"],
             "engine": engine,
             "options": _options_payload(options),
         }

@@ -10,7 +10,10 @@ formula, the restriction, the engine and its options including the
 reorder mode), and the proof engine probes the cache before discharging
 anything.  A hit replays the stored
 :class:`~repro.checking.result.CheckResult` byte-identically (stats,
-counterexamples, certificate text); a miss checks and writes back.
+counterexamples, certificate text), rebuilt around the formula and
+restriction in hand — a record whose formula or restriction text differs
+from the obligation's is a miss (:meth:`CheckResult.replayed`).  A miss
+checks and writes back.
 Editing one component therefore re-checks exactly that component's
 obligations — every other record still replays.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.checking.result import CheckResult
+from repro.checking.result import CheckResult, bound_text
 from repro.store.fingerprint import (
     component_fingerprint,
     obligation_fingerprint,
@@ -113,24 +116,36 @@ class ObligationCache:
             digest = self._digests[name] = component_fingerprint(system)
         return digest
 
-    def fingerprint(self, name: str, system, formula, restriction) -> str:
-        """The content address of one obligation on ``name``'s expansion."""
-        return obligation_fingerprint(
+    def address(
+        self, name: str, system, formula, restriction
+    ) -> tuple[str, dict]:
+        """The content address of one obligation on ``name``'s expansion,
+        and the :func:`~repro.checking.result.bound_text` it was hashed
+        over (rendered once, for :meth:`load` to bind a record to)."""
+        text = bound_text(formula, restriction)
+        fingerprint = obligation_fingerprint(
             self.component_digest(name, system),
             self.sigma_star,
             formula,
             restriction,
             self.engine,
             self.current_options(),
+            text=text,
         )
+        return fingerprint, text
 
     # -- store traffic ---------------------------------------------------
-    def load(self, fingerprint: str) -> CheckResult | None:
-        """The replayed result for a fingerprint, or ``None`` on miss."""
+    def load(
+        self, fingerprint: str, formula, restriction, text: dict
+    ) -> CheckResult | None:
+        """The stored result for a fingerprint as the verdict on
+        ``formula`` under ``restriction`` (``text`` is what
+        :meth:`address` returned); ``None`` on a miss, and on a record
+        written for another formula or restriction."""
         record = self.store.get(fingerprint, kind="obligation")
         if record is None or not record.result:
             return None
-        return CheckResult.from_dict(record.result)
+        return CheckResult.replayed(record.result, formula, restriction, text)
 
     def save(self, fingerprint: str, formula, result: CheckResult) -> None:
         """Persist a freshly-checked obligation result."""
@@ -152,15 +167,18 @@ class ObligationCache:
         fingerprint: str,
         cached: bool,
         result: CheckResult,
+        formula: str,
     ) -> None:
-        """Record one discharged obligation (in discharge order)."""
+        """Record one discharged obligation (in discharge order);
+        ``formula`` is the obligation's text, as :meth:`address`
+        rendered it."""
         self.ledger.append(
             ObligationLedgerEntry(
                 component=component,
                 fingerprint=fingerprint,
                 cached=cached,
                 holds=bool(result.holds),
-                formula=str(result.formula),
+                formula=formula,
             )
         )
 

@@ -75,6 +75,9 @@ class SymbolicSystem:
         #: (per-partition next variables to quantify), invalidated when
         #: :attr:`partitions` is replaced.
         self._partition_schedule: tuple | None = None
+        #: ``(transition, Id ⊆ transition)`` for the last relation
+        #: :meth:`is_reflexive` decided (node ids never change meaning).
+        self._reflexive: tuple[int, bool] | None = None
 
     # ------------------------------------------------------------------
     # relation builders
@@ -89,6 +92,16 @@ class SymbolicSystem:
             self.bdd.apply("iff", self.bdd.var(a), self.bdd.var(primed(a)))
             for a in sorted(names, reverse=True)
         )
+
+    def is_reflexive(self) -> bool:
+        """True when every state may stutter (``Id ⊆ R``); decided once
+        per installed relation."""
+        if self._reflexive is None or self._reflexive[0] != self.transition:
+            diff = self.bdd.apply(
+                "diff", self.identity_relation(), self.transition
+            )
+            self._reflexive = (self.transition, diff == FALSE)
+        return self._reflexive[1]
 
     def set_transition(self, t: int, reflexive: bool = True) -> None:
         """Install a transition relation, optionally stutter-closing it."""

@@ -265,3 +265,38 @@ class TestStructure:
         bdd.clear_caches()
         g = bdd.apply("and", bdd.var("x"), bdd.var("y"))
         assert f == g
+
+
+class TestRelease:
+    """A dropped manager is freed by reference counting: no recursive
+    kernel leaves a closure cycle holding it for the cyclic collector."""
+
+    def test_manager_freed_without_cyclic_gc(self):
+        import gc
+        import weakref
+
+        from repro.bdd.ops import dnf, transfer
+
+        gc.collect()
+        gc.disable()
+        try:
+            src, dst = BDD(), BDD()
+            src.declare("x", "y", "z")
+            dst.declare("x", "y", "z")
+            yz = src.apply("and", src.var("y"), src.var("z"))
+            f = src.apply("or", src.var("x"), yz)
+            src.negate(f)
+            src.exists(["y"], f)
+            src.forall(["y"], f)
+            src.and_exists(f, src.var("y"), ["x"])
+            src.rename(src.var("x"), {"x": "y"})
+            src.sat_count(f)
+            list(src.iter_sat(f))
+            next(src.iter_sat(f))  # an abandoned generator too
+            dnf(src, f)
+            transfer(f, src, dst)
+            refs = [weakref.ref(src), weakref.ref(dst)]
+            del src, dst
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()

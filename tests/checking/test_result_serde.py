@@ -135,3 +135,67 @@ class TestCheckResultSerde:
             holds=False,
         )
         assert not CheckResult.from_dict(result.to_dict())
+
+
+class TestReplayed:
+    """``CheckResult.replayed``: a record bound to the check in hand."""
+
+    def _result(self):
+        return CheckResult(
+            formula=AG(Atom("x")),
+            restriction=Restriction(init=Atom("x"), fairness=(Not(Atom("y")),)),
+            holds=False,
+            failing_states=(frozenset({"x"}),),
+            num_failing=3,
+            stats=CheckStats(user_time=0.5, fixpoint_iterations=4),
+        )
+
+    def test_match_carries_the_objects_in_hand(self, monkeypatch):
+        import repro.logic.parser as parser
+
+        result = self._result()
+        data = json.loads(json.dumps(result.to_dict()))
+
+        def no_parse(text):
+            raise AssertionError(f"replay re-parsed {text!r}")
+
+        monkeypatch.setattr(parser, "parse_ctl", no_parse)
+        formula = AG(Atom("x"))
+        restriction = Restriction(
+            init=Atom("x"), fairness=(Not(Atom("y")),)
+        )
+        back = CheckResult.replayed(data, formula, restriction)
+        assert back == result
+        assert back.formula is formula and back.restriction is restriction
+        assert back.to_dict() == result.to_dict()
+
+    def test_mismatch_is_a_miss(self):
+        result = self._result()
+        data = result.to_dict()
+        r = result.restriction
+        assert CheckResult.replayed(data, AX(Atom("x")), r) is None
+        assert (
+            CheckResult.replayed(
+                data, result.formula, Restriction(init=Atom("y"), fairness=r.fairness)
+            )
+            is None
+        )
+        assert (
+            CheckResult.replayed(
+                data, result.formula, Restriction(init=r.init)
+            )
+            is None
+        )
+
+    def test_prerendered_text_is_used(self):
+        from repro.checking.result import bound_text
+
+        result = self._result()
+        data = result.to_dict()
+        text = bound_text(result.formula, result.restriction)
+        assert text == {k: data[k] for k in ("formula", "restriction")}
+        other = dict(text, formula="x")
+        assert (
+            CheckResult.replayed(data, result.formula, result.restriction, other)
+            is None
+        )

@@ -34,25 +34,38 @@ from repro.logic.parser import parse_ctl
 p, q = atom("p"), atom("q")
 
 
+TAUTOLOGY_CASES = [
+    ("p | !p", True),
+    ("p -> p", True),
+    ("(p -> q) <-> (!q -> !p)", True),
+    ("p & !p", False),
+    ("p -> q", False),
+    ("true", True),
+    ("false", False),
+]
+
+
 class TestTautology:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("p | !p", True),
-            ("p -> p", True),
-            ("(p -> q) <-> (!q -> !p)", True),
-            ("p & !p", False),
-            ("p -> q", False),
-            ("true", True),
-            ("false", False),
-        ],
-    )
+    @pytest.mark.parametrize("text,expected", TAUTOLOGY_CASES)
     def test_cases(self, text, expected):
+        assert is_tautology(parse_ctl(text)) == expected
+
+    @pytest.mark.parametrize("text,expected", TAUTOLOGY_CASES)
+    def test_memoized_answer_unchanged(self, text, expected):
+        # the second call (on an equal, freshly parsed formula) is
+        # answered from the process-wide memo
+        assert is_tautology(parse_ctl(text)) == expected
         assert is_tautology(parse_ctl(text)) == expected
 
     def test_rejects_temporal(self):
         with pytest.raises(LogicError):
             is_tautology(AX(p))
+
+    def test_rejects_temporal_every_time(self):
+        # a non-propositional formula never enters the memo
+        for _ in range(2):
+            with pytest.raises(LogicError):
+                is_tautology(Implies(p, EF(q)))
 
     def test_entails(self):
         assert entails(And(p, q), p)

@@ -162,3 +162,54 @@ class TestSharedScheduler:
         shutdown_shared()
         assert shared_scheduler(2).metrics.get("parallel.items") == 0
         shutdown_shared()
+
+
+class TestWorkerHistory:
+    """A pooled check reports what an in-process check reports, whatever
+    the worker checked before."""
+
+    @staticmethod
+    def _stats(jobs):
+        from repro.casestudies.afs2 import Afs2
+
+        pf, _ = Afs2(2, jobs=jobs).prove_safety()
+        return [
+            dict(result.stats.to_dict(), user_time=0.0)
+            for step in pf.log
+            for leaf in step.leaves()
+            for result in leaf.obligations
+        ]
+
+    def test_second_proof_on_shared_pool_reports_fresh_work(self):
+        in_process = self._stats(None)
+        first = self._stats(2)
+        second = self._stats(2)  # same shared scheduler, warm workers
+        assert first == in_process
+        assert second == in_process
+        assert all(stats["bdd_mk_calls"] > 0 for stats in second)
+
+    def test_items_of_one_batch_share_the_memo(self):
+        # one batch, one worker: the second item reuses the first one's
+        # sub-formula memo exactly as one in-process checker would, and
+        # the next batch starts afresh
+        from repro.checking.explicit import ExplicitChecker
+
+        ring = TokenRing(2)
+        formulas = [parse_ctl("EF tok"), parse_ctl("AG EF tok")]
+        items = [
+            WorkItem(
+                system=spec_of_component(ring.process(0)),
+                formula=formula,
+                engine="explicit",
+            )
+            for formula in formulas
+        ]
+        checker = ExplicitChecker(ring.process(0))
+        local = [checker.holds(f).stats.subformulas_evaluated for f in formulas]
+        with ObligationScheduler(jobs=1) as single:
+            for _ in range(2):
+                pooled = [
+                    outcome.result.stats.subformulas_evaluated
+                    for outcome in single.run(items)
+                ]
+                assert pooled == local

@@ -76,6 +76,21 @@ class TestSequentialColdWarm:
             r.explain() for r in _results(cold)
         ]
 
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_warm_replay_equals_cold_objects(self, tmp_path, jobs):
+        store = ResultStore(tmp_path)
+        cold = _prove(store, jobs=jobs)
+        warm = _prove(store, jobs=jobs)
+        assert _ledger(warm)["hits"] == len(COMPONENTS)
+        assert _results(warm) == _results(cold)
+        assert warm.conclusions == cold.conclusions
+        # a replay is rebuilt around the obligation's own formula and
+        # restriction objects, not re-parsed from the record
+        for step in warm.log:
+            for leaf in step.leaves():
+                for result in leaf.obligations:
+                    assert result.formula is leaf.formula
+
     def test_warm_matches_cache_disabled_run(self, tmp_path):
         fresh = _prove(None)
         store = ResultStore(tmp_path)

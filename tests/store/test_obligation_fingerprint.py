@@ -105,6 +105,30 @@ class TestStability:
     def test_digest_and_system_forms_agree(self):
         assert _fp(component=TOY) == _fp(component=DIGEST)
 
+    def test_unchanged_component_rendered_once(self, monkeypatch):
+        import repro.store.fingerprint as fingerprint
+
+        rendered = []
+        render = fingerprint.behavior_text
+        monkeypatch.setattr(
+            fingerprint,
+            "behavior_text",
+            lambda model: rendered.append(model) or render(model),
+        )
+        # a source text no other test uses, so the memo starts cold
+        source = "-- rendered-once probe\n" + client_source(1)
+        first = component_fingerprint(
+            ProtocolComponent("Client1", source).symbolic()
+        )
+        again = component_fingerprint(
+            ProtocolComponent("Client1", source).symbolic()
+        )
+        assert first == again
+        assert len(rendered) == 1
+        assert first == component_fingerprint(
+            ProtocolComponent("Client1", client_source(1)).symbolic()
+        )
+
 
 # ----------------------------------------------------------------------
 # sensitivity: anything the verdict depends on must miss
@@ -147,6 +171,12 @@ class TestSensitivity:
             ],
         )
         assert component_fingerprint(TOY) != component_fingerprint(grown)
+
+    def test_smv_reflexivity_misses(self):
+        component = ProtocolComponent("Client1", client_source(1))
+        assert component_fingerprint(
+            component.symbolic(reflexive=True)
+        ) != component_fingerprint(component.symbolic(reflexive=False))
 
     def test_reflexivity_misses(self):
         pairs = [(frozenset({"p"}), frozenset({"p", "q"}))]
