@@ -1,43 +1,58 @@
-"""Ablation A5 — monolithic transition relation vs conjunctive partition.
+"""Ablation A5 — materialised expansion vs lazy expansion view.
 
-The SMV compiler emits a per-variable conjunctive partition alongside the
-monolithic relation; the partitioned pre-image quantifies next-state
-variables early instead of ever touching the full-relation BDD.  Measured
-on the AFS-2 server (n = 3) with a large xor-chain target set.
+A proof obligation on a component ``M`` is checked on its expansion
+``M ∘ (Σ*∖Σ_M, I)``.  The materialised side builds that relation over Σ*
+with :func:`symbolic_expand` (frame on the extra atoms, product, stutter
+closure) and takes one relational product through it.  The lazy side
+builds an :func:`expansion_view` — ``M``'s partitions moved into a Σ*
+manager — and images through the target's cone, adding the stutter step
+as ``∨ Q``.  Measured on the AFS-2 server of the n = 3 proof: building
+the expansion plus the pre-image of ``¬Inv``, the image its
+``Inv ⇒ AX Inv`` obligation takes (unsplit on both sides).
 """
 
-from repro.casestudies.afs2 import server_source
-from repro.smv.compile_symbolic import to_symbolic
-from repro.smv.elaborate import SmvModel
-from repro.smv.parser import parse_module
+from repro.bdd.formula import prop_to_bdd
+from repro.bdd.ops import transfer
+from repro.casestudies.afs2 import Afs2
+from repro.logic.ctl import Not
+from repro.systems.symbolic import expansion_view, primed, symbolic_expand
 
 
 def _setup():
-    model = SmvModel(parse_module(server_source(3, rename=False)))
-    sym = to_symbolic(model)
-    target = sym.bdd.var(sym.atoms[0])
-    for a in sym.atoms[1:]:
-        target = sym.bdd.apply("xor", target, sym.bdd.var(a))
-    return sym, target
+    study = Afs2(3)
+    pf = study.proof()
+    server = pf.components["server"]
+    extra = pf.sigma_star - set(server.atoms)
+    return server, extra, Not(study.invariant())
 
 
-def test_a5_monolithic_pre_image(benchmark):
-    sym, target = _setup()
-    sym.prefer_partitions = False  # pin pre_image to the monolithic product
+def _materialised(server, extra, target):
+    expanded = symbolic_expand(server, extra)
+    bdd = expanded.bdd
+    image = bdd.and_exists(
+        expanded.transition,
+        bdd.rename(
+            prop_to_bdd(bdd, target), {a: primed(a) for a in expanded.atoms}
+        ),
+        [primed(a) for a in expanded.atoms],
+    )
+    return expanded, image
 
-    def run():
-        sym.bdd.clear_caches()
-        return sym.pre_image(target)
 
-    assert benchmark(run) is not None
+def _lazy(server, extra, target):
+    view = expansion_view(server, extra)
+    return view, view.pre_image(prop_to_bdd(view.bdd, target))
 
 
-def test_a5_partitioned_pre_image(benchmark):
-    sym, target = _setup()
+def test_a5_materialised_expansion(benchmark):
+    server, extra, target = _setup()
+    expanded, image = benchmark(_materialised, server, extra, target)
+    assert image != 0
 
-    def run():
-        sym.bdd.clear_caches()
-        return sym.pre_image_partitioned(target)
 
-    partitioned = benchmark(run)
-    assert partitioned == sym.pre_image(target)  # exactness
+def test_a5_lazy_expansion_view(benchmark):
+    server, extra, target = _setup()
+    view, image = benchmark(_lazy, server, extra, target)
+    expanded, expected = _materialised(server, extra, target)
+    # exactness: node-equal to the materialised image, in the view's manager
+    assert image == transfer(expected, expanded.bdd, view.bdd)

@@ -10,6 +10,7 @@ from repro.casestudies.afs2 import server_source
 from repro.smv.compile_symbolic import to_symbolic
 from repro.smv.elaborate import SmvModel
 from repro.smv.parser import parse_module
+from repro.systems.symbolic import primed
 
 N_BITS = 10
 
@@ -52,13 +53,17 @@ def test_bdd_quantifier_sweep(benchmark):
 
 
 def test_bdd_image_step(benchmark):
+    # one fixed kernel path, the relational product through the whole
+    # relation — not whichever image strategy the system defaults to
     model = SmvModel(parse_module(server_source(2, rename=False)))
     sym = to_symbolic(model)
-    target = sym.bdd.var(sym.atoms[0])
+    bdd = sym.bdd
+    target = bdd.rename(bdd.var(sym.atoms[0]), {sym.atoms[0]: primed(sym.atoms[0])})
+    next_vars = [primed(a) for a in sym.atoms]
 
     def run():
-        sym.bdd.clear_caches()
-        return sym.pre_image(target)
+        bdd.clear_caches()
+        return bdd.and_exists(sym.transition, target, next_vars)
 
     assert benchmark(run) is not None
 

@@ -29,6 +29,7 @@ from repro.logic.ctl import (
     Implies,
     Not,
     Or,
+    is_propositional,
 )
 from repro.logic.ctl import TRUE as F_TRUE
 from repro.logic.restriction import UNRESTRICTED, Restriction
@@ -38,6 +39,26 @@ from repro.systems.symbolic import SymbolicSystem
 
 #: Cap on failing states decoded into a :class:`CheckResult`.
 MAX_REPORTED = 8
+
+
+def _operands(f: Formula, kind: type) -> list[Formula]:
+    """The operands of a propositional tree of ``kind`` (``And`` or
+    ``Or``) nodes rooted at ``f``, left to right; ``[f]`` otherwise.
+
+    Each operand's support is smaller than the whole's, so an image of it
+    touches fewer transition partitions (its cone of influence).
+    """
+    if not (isinstance(f, kind) and is_propositional(f)):
+        return [f]
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, kind):
+            stack.extend((g.right, g.left))
+        else:
+            out.append(g)
+    return out
 
 
 class SymbolicChecker:
@@ -61,11 +82,13 @@ class SymbolicChecker:
         self._iterations = 0
 
     def reset(self) -> None:
-        """Forget every memoized state set and the manager's operation
-        caches: the next check does, and reports, the work of a fresh
-        checker over the same compiled system."""
+        """Forget every memoized state set, the system's derived image
+        data and the manager's operation caches: the next check does,
+        and reports, the work of a fresh checker over the same compiled
+        system."""
         self._memo.clear()
         self._fair_memo.clear()
+        self.system.clear_caches()
         self.bdd.clear_caches()
 
     # ------------------------------------------------------------------
@@ -220,12 +243,20 @@ class SymbolicChecker:
         if isinstance(f, Iff):
             return b.apply("iff", self._eval(f.left, fair), self._eval(f.right, fair))
         if isinstance(f, EX):
+            disjuncts = _operands(f.operand, Or)
+            if len(disjuncts) > 1:
+                # EX distributes over ∨: one small-cone image per disjunct
+                return b.disj(self._eval(EX(d), fair) for d in disjuncts)
             p = self._eval(f.operand, fair)
             if not trivially_fair:
                 p = b.apply("and", p, self._fair_states(fair))
             return self._ex(p)
         if isinstance(f, AX):
-            return b.negate(self._eval(EX(Not(f.operand)), fair))
+            # AX distributes over ∧: one small-cone image per conjunct
+            return b.conj(
+                b.negate(self._eval(EX(Not(c)), fair))
+                for c in _operands(f.operand, And)
+            )
         if isinstance(f, EF):
             return self._eval(EU(F_TRUE, f.operand), fair)
         if isinstance(f, AF):

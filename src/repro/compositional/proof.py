@@ -74,8 +74,8 @@ from repro.compositional.rules import (
 from repro.systems.compose import compose_all, expand
 from repro.systems.symbolic import (
     SymbolicSystem,
+    expansion_view,
     symbolic_compose_all,
-    symbolic_expand,
 )
 from repro.systems.system import System
 
@@ -182,7 +182,9 @@ class _Backend:
         if not isinstance(system, SymbolicSystem):
             system = SymbolicSystem.from_explicit(system)
         if extra:
-            system = symbolic_expand(system, extra)
+            # Lemma 5's expansion, imaged through the component's own
+            # partitions: no frame, no product relation over Σ*
+            system = expansion_view(system, extra)
         return SymbolicChecker(system)
 
     def component_checker(self, system: Component):

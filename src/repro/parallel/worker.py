@@ -9,12 +9,14 @@ stats delta, and — when the parent is tracing — the recorded span tree
 as JSONL records plus the wall-clock origin needed to rebase them.
 
 The cache is keyed by ``(spec, engine, expand_to, reorder)``: a pool worker
-compiles each component expansion at most once and reuses the checker
-for every later obligation on the same system — the process-pool
+builds each component expansion (an
+:func:`~repro.systems.symbolic.expansion_view`) once and reuses the
+checker for every later obligation on the same system — the process-pool
 analogue of the sequential engine's per-component expansion-checker
-cache.  The checker's sub-formula memo is shared only within one
-scheduler batch (one rule's obligations, or one module's specs): the
-first item of a new batch resets it
+cache — until ``_CACHE_CAP`` newer ones have evicted it.  The checker's
+sub-formula memo is shared only within one scheduler batch (one rule's
+obligations, or one module's specs): the first item of a new batch
+resets it
 (:meth:`~repro.checking.symbolic.SymbolicChecker.reset`), so a pooled
 check reports the work an in-process check does, not an answer from a
 memo an earlier proof left behind.
@@ -56,20 +58,28 @@ _PROGRESS_QUEUE = None
 #: layer's stall watchdog.
 STALL_HOOK_ENV = "REPRO_PROGRESS_TEST_STALL"
 
-#: Per-process cache: (spec, engine, expand_to, reorder) → checker.
+#: Per-process cache: (spec, engine, expand_to, reorder) → ``[checker,
+#: batch]``, the batch being the one whose items last used the checker.
 _CHECKERS: dict = {}
-#: Checker cache key → the batch whose items last used that checker.
-_CHECKER_BATCH: dict = {}
 #: Per-process cache: (spec, engine, reorder) → built component/composite
 #: system.  ``reorder`` is the manager default in force at build time —
 #: a system sifted under one mode must not be served for another.
 _SYSTEMS: dict = {}
+#: FIFO bound on each cache: a long-lived worker serving ever-new specs
+#: (a server's novel checks) would otherwise keep every manager alive.
+_CACHE_CAP = 16
+
+
+def _cache_put(cache: dict, key, value):
+    while len(cache) >= _CACHE_CAP:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
+    return value
 
 
 def clear_worker_caches() -> None:
     """Drop every cached system and checker (tests / memory pressure)."""
     _CHECKERS.clear()
-    _CHECKER_BATCH.clear()
     _SYSTEMS.clear()
 
 
@@ -113,7 +123,7 @@ def build_system(spec: SystemSpec, engine: str):
         sym.transition = spec.transition
         if spec.partitions:
             sym.partitions = list(spec.partitions)
-            sym.prefer_partitions = spec.prefer_partitions
+            sym.stutter = spec.stutter
         if engine == "explicit":
             return sym.to_explicit()
         return sym
@@ -147,7 +157,7 @@ def _cached_system(spec: SystemSpec, engine: str):
     key = (spec, engine, default_reorder())
     system = _SYSTEMS.get(key)
     if system is None:
-        system = _SYSTEMS[key] = build_system(spec, engine)
+        system = _cache_put(_SYSTEMS, key, build_system(spec, engine))
     return system
 
 
@@ -169,12 +179,13 @@ def checker_for(
     from repro.systems.symbolic import SymbolicSystem
 
     key = (spec, engine, expand_to, default_reorder())
-    cached = _CHECKERS.get(key)
-    if cached is not None:
-        if batch is None or _CHECKER_BATCH.get(key) != batch:
-            cached.reset()
-            _CHECKER_BATCH[key] = batch
-        return cached, True
+    entry = _CHECKERS.get(key)
+    if entry is not None:
+        checker, last_batch = entry
+        if batch is None or last_batch != batch:
+            checker.reset()
+            entry[1] = batch
+        return checker, True
     system = _cached_system(spec, engine)
     backend = _Backend(engine)  # type: ignore[arg-type]
     if expand_to:
@@ -187,8 +198,7 @@ def checker_for(
     else:
         checker = backend.component_checker(system)
     assert isinstance(system, (System, SymbolicSystem))
-    _CHECKERS[key] = checker
-    _CHECKER_BATCH[key] = batch
+    _cache_put(_CHECKERS, key, [checker, batch])
     return checker, False
 
 

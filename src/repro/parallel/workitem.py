@@ -99,14 +99,17 @@ class SnapshotSpec:
     :meth:`repro.bdd.manager.BDD.snapshot`; node ids are stable across
     snapshot/restore, so ``transition`` and ``partitions`` refer into
     the restored manager directly.  The flat-array wire format makes
-    this cheap enough to pickle across the pool boundary.
+    this cheap enough to pickle across the pool boundary.  ``stutter``
+    marks a relation that is the partitions' conjunction plus the
+    stutter step; the worker derives everything else an image needs
+    from the partition BDDs themselves.
     """
 
     snapshot: bytes
     atoms: tuple[str, ...]
     transition: int
     partitions: tuple[int, ...] = ()
-    prefer_partitions: bool = False
+    stutter: bool = False
 
 
 SystemSpec = Union[
@@ -305,11 +308,15 @@ def spec_of_component(system) -> SystemSpec:
                 source=source,
                 reflexive=bool(getattr(system, "smv_reflexive", True)),
             )
+        # an expansion view's partitions image only alongside the
+        # component it expands: ship its materialised relation alone
+        view = system.component is not None
+        transition = system.transition  # built before the snapshot
         return SnapshotSpec(
             snapshot=system.bdd.snapshot(),
             atoms=tuple(system.atoms),
-            transition=system.transition,
-            partitions=tuple(system.partitions or ()),
-            prefer_partitions=bool(system.prefer_partitions),
+            transition=transition,
+            partitions=() if view else tuple(system.partitions or ()),
+            stutter=system.stutter and not view,
         )
     raise ParallelError(f"cannot derive a work spec for {type(system).__name__}")

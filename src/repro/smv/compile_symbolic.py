@@ -7,6 +7,11 @@ one partition per variable::
             ∨  ¬valid ∧ frame(v)
     T    =  ⋀_v  P_v
 
+The partitions are kept on the system for both compiles: the reflexive
+(paper-style) relation is ``T ∨ Id``, so an image through the raw
+partitions plus the stutter step ``∨ Q`` is exact for it too
+(:meth:`~repro.systems.symbolic.SymbolicSystem.pre_image`).
+
 Free variables contribute the constraint that their next value is any
 domain value.  Junk bit patterns (outside every variable's domain) get
 self-loops so the relation stays total over the full boolean state
@@ -82,14 +87,10 @@ def to_symbolic(
             )
         partitions.append(partition)
     sym.set_transition(bdd.conj(partitions), reflexive=reflexive)
-    if not reflexive:
-        # the partition does not include the stutter closure, so it is
-        # only installed for the raw (SMV-faithful) relation
-        sym.partitions = partitions
-        # not yet a measured win everywhere: on the AFS-2 server with a
-        # one-atom target (2-core Xeon) the partitioned image takes about
-        # 2x the monolithic one at n=2, par at n=3, a third at n=4
-        sym.prefer_partitions = len(partitions) >= 2
+    # the raw partitions serve both compiles: the reflexive relation is
+    # their conjunction plus the stutter step, which images add as ∨ Q
+    sym.partitions = partitions
+    sym.stutter = reflexive
     if bdd.reorder_mode == "sift":
         # sift once, after the relation and its partitions exist — the
         # "auto" mode instead re-sifts whenever the table doubles

@@ -55,7 +55,11 @@ __all__ = [
 ]
 
 #: Store layout / canonicalization version (a salt in every fingerprint).
-STORE_SCHEMA_VERSION = 1
+#: 2: symbolic obligations run on expansion views, whose records carry
+#: the view's stats — ``transition_nodes`` is the component's own
+#: relation, not the materialised expansion's, and the BDD work counts
+#: (mk calls, cache lookups) are the view's.
+STORE_SCHEMA_VERSION = 2
 
 
 def fingerprint_payload(payload: dict) -> str:

@@ -5,6 +5,7 @@ from repro.systems.compose import compose, compose_all, expand
 from repro.systems.encode import Encoding, FiniteVar
 from repro.systems.symbolic import (
     SymbolicSystem,
+    expansion_view,
     symbolic_compose,
     symbolic_compose_all,
     symbolic_expand,
@@ -27,6 +28,7 @@ __all__ = [
     "Encoding",
     "FiniteVar",
     "SymbolicSystem",
+    "expansion_view",
     "symbolic_compose",
     "symbolic_compose_all",
     "symbolic_expand",

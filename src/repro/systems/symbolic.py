@@ -6,6 +6,13 @@ plus a prime), interleaved in the variable order — the standard layout that
 keeps transition relations small (the ablation bench
 ``bench_ablation_var_order`` measures the alternative).
 
+The relation may also be held as a conjunctive partition ``⋀_v P_v`` —
+the SMV compiler emits one ``P_v`` per state variable, with disjoint
+next-state supports — optionally stutter-closed as ``⋀_v P_v ∨ Id``.
+Every pre-image goes through the partition (a system without one is its
+own single partition, ``transition``) and touches only the partitions in
+the target's cone of influence (:meth:`SymbolicSystem.pre_image`).
+
 Symbolic composition implements the paper's ``R*`` directly at the BDD
 level::
 
@@ -14,6 +21,13 @@ level::
 where ``frame(V) = ⋀_{v∈V} (v ↔ v')`` — each component's step leaves the
 other's private propositions untouched, and the identity makes ``R*``
 reflexive (it is already implied when the components are reflexive).
+
+A component's expansion ``M ∘ (Σ*∖Σ_M, I)``, where the paper's Lemma 5
+discharges obligations, needs neither the frame nor the product:
+:func:`expansion_view` images through ``M``'s own partitions over Σ*,
+renaming only ``M``'s atoms (the others keep their values) and adding the
+stutter step as ``∨ Q``.  :func:`symbolic_expand` materialises the same
+relation; it is the reference the view is tested against.
 """
 
 from __future__ import annotations
@@ -42,8 +56,22 @@ class SymbolicSystem:
     atoms:
         The alphabet Σ (sorted tuple).
     transition:
-        BDD over current+next variables; must be total to be a valid
-        paper-system (use :meth:`closed_reflexive` to stutter-close).
+        The relation as one BDD over current+next variables; must be
+        total to be a valid paper-system (use :meth:`set_transition` to
+        stutter-close).  Assigning it installs a new relation and drops
+        the old one's :attr:`partitions`.  An expansion view builds it
+        only when asked for.
+    partitions:
+        Optional conjunctive partition of the relation, one BDD per state
+        variable with disjoint next-state supports (set by the SMV
+        compiler); ``None`` makes ``transition`` the single partition.
+        Replace the list rather than mutate it.
+    stutter:
+        True when the relation is ``⋀ partitions ∨ Id`` — the partitions
+        need not contain the stutter step, and every image adds it.
+    component:
+        For an expansion view (:func:`expansion_view`), the system it
+        expands; ``None`` otherwise.
     """
 
     def __init__(self, atoms: Iterable[str], bdd: BDD | None = None):
@@ -61,23 +89,40 @@ class SymbolicSystem:
         for a in self.atoms:
             if a not in bdd.var_names or primed(a) not in bdd.var_names:
                 raise SystemError_(f"manager lacks variables for atom {a!r}")
-        self.transition: int = self.identity_relation()
-        #: Optional conjunctive partition of ``transition`` (one BDD per
-        #: state variable, their conjunction equal to the monolithic
-        #: relation).  Set by the SMV compiler; enables the partitioned
-        #: pre-image with early quantification.
+        self._transition: int | None = None
         self.partitions: list[int] | None = None
-        #: When True and partitions are available, :meth:`pre_image` uses
-        #: the partitioned algorithm.  The SMV compiler turns this on
-        #: whenever it emits a real conjunctive split (≥ 2 partitions).
-        self.prefer_partitions: bool = False
-        #: Cached quantification schedule for :meth:`pre_image_partitioned`
-        #: (per-partition next variables to quantify), invalidated when
-        #: :attr:`partitions` is replaced.
-        self._partition_schedule: tuple | None = None
+        self.stutter: bool = False
+        self.component: SymbolicSystem | None = None
+        #: ``(partitions, data)`` for the relation whose cone data
+        #: (:meth:`_cone_data`) was last derived.
+        self._cone: tuple | None = None
         #: ``(transition, Id ⊆ transition)`` for the last relation
         #: :meth:`is_reflexive` decided (node ids never change meaning).
         self._reflexive: tuple[int, bool] | None = None
+        #: ``((transition, reorders), nodes)`` for :meth:`node_count`.
+        self._nodes: tuple | None = None
+
+    @property
+    def transition(self) -> int:
+        if self._transition is None:
+            # built on first use: Id for a fresh system, (⋀ P ∧ frame) ∨ Id
+            # for an expansion view, framing the atoms its component lacks
+            bdd = self.bdd
+            t = self.identity_relation()
+            if self.component is not None:
+                extra = set(self.atoms) - set(self.component.atoms)
+                relation = bdd.conj([*self.partitions, self.frame(extra)])
+                t = bdd.apply("or", relation, t)
+            self._transition = t
+            bdd.add_reorder_root(t)
+        return self._transition
+
+    @transition.setter
+    def transition(self, t: int) -> None:
+        self._transition = t
+        self.partitions = None
+        self.stutter = False
+        self.component = None
 
     # ------------------------------------------------------------------
     # relation builders
@@ -104,7 +149,8 @@ class SymbolicSystem:
         return self._reflexive[1]
 
     def set_transition(self, t: int, reflexive: bool = True) -> None:
-        """Install a transition relation, optionally stutter-closing it."""
+        """Install a transition relation (dropping any partition),
+        optionally stutter-closing it."""
         if reflexive:
             t = self.bdd.apply("or", t, self.identity_relation())
         self.transition = t
@@ -113,13 +159,14 @@ class SymbolicSystem:
     def reorder(self, method: str = "sift", **kwargs) -> dict[str, int | str]:
         """Sift the variable order for this system's relations.
 
-        Registers the transition relation (and any conjunctive
-        partitions) as reorder roots and runs :meth:`BDD.reorder`.  All
+        Registers the transition relation (if built) and any conjunctive
+        partitions as reorder roots and runs :meth:`BDD.reorder`.  All
         previously returned node ids stay valid — reordering changes
         cost, never results.
         """
         bdd = self.bdd
-        bdd.add_reorder_root(self.transition)
+        if self._transition is not None:
+            bdd.add_reorder_root(self._transition)
         for p in self.partitions or ():
             bdd.add_reorder_root(p)
         return bdd.reorder(method, **kwargs)
@@ -175,61 +222,102 @@ class SymbolicSystem:
     # images
     # ------------------------------------------------------------------
     def pre_image(self, s: int) -> int:
-        """``EX S``: states with an R-successor in ``S`` (S over current vars)."""
+        """``EX S``: states with an R-successor in ``S`` (S over current vars).
+
+        With ``S'`` the target renamed to next-state variables, this is
+        ``∃x'. ⋀_v P_v ∧ S'`` (``∨ S`` when the system stutters), taken
+        over ``S``'s cone of influence only:
+
+        * only the moved atoms in ``S``'s support are renamed — an
+          expansion view's other atoms keep their values, so they stay
+          current variables and are never quantified;
+        * a partition whose next bits meet that support takes one
+          relational product, quantifying its own next bits there (next
+          supports are disjoint, so no later partition mentions them);
+        * any other partition drops out as ``∃v'. P_v``, which is TRUE
+          for a total partition and conjoined otherwise — totality is a
+          checked fact of the partition BDDs, never an assumption;
+        * a moved atom in the support that no partition constrains may
+          take either next value, so it is quantified out of ``S``.
+        """
         if TRACER.enabled:
             with TRACER.span("image.pre", category="image"):
                 return self._pre_image(s)
         return self._pre_image(s)
 
     def _pre_image(self, s: int) -> int:
-        if self.prefer_partitions and self.partitions:
-            return self.pre_image_partitioned(s)
-        s_next = self.bdd.rename(s, {a: primed(a) for a in self.atoms})
-        return self.bdd.and_exists(
-            self.transition, s_next, [primed(a) for a in self.atoms]
-        )
-
-    def pre_image_partitioned(self, s: int) -> int:
-        """Pre-image via the conjunctive partition with early quantification.
-
-        Conjoins the per-variable transition constraints one by one,
-        existentially quantifying each next-state variable in the same
-        relational product as the last partition that mentions it (the
-        IWLS95-style schedule in its simplest form).  The schedule is
-        static — see :meth:`_quantification_schedule` — so an image step
-        never walks a BDD just to find its support, and the monolithic
-        relation is never needed.
-        """
-        if not self.partitions:
-            raise SystemError_("system has no conjunctive partition")
         bdd = self.bdd
-        acc = bdd.rename(s, {a: primed(a) for a in self.atoms})
-        for partition, names in zip(self.partitions, self._quantification_schedule()):
-            acc = bdd.and_exists(acc, partition, names)
+        moved, owner, steps, masks = self._cone_data()
+        support = bdd.support(s) & moved
+        free = [a for a in support if a not in owner]
+        acc = bdd.exists(free, s) if free else s
+        cone = {owner[a] for a in support if a in owner}
+        if cone:
+            acc = bdd.rename(
+                acc, {a: primed(a) for a in support if a in owner}
+            )
+            for i in sorted(cone):
+                acc = bdd.and_exists(acc, *steps[i])
+        for i, (partition, names) in enumerate(steps):
+            if i in cone:
+                continue
+            if masks[i] is None:
+                masks[i] = bdd.exists(names, partition)
+            if masks[i] != TRUE:
+                acc = bdd.apply("and", acc, masks[i])
+        if self.stutter:
+            acc = bdd.apply("or", acc, s)
         return acc
 
-    def _quantification_schedule(self) -> list[list[str]]:
-        """Next-state variables to quantify at each partition (cached).
+    def clear_caches(self) -> None:
+        """Forget the image data derived from the relation: the next
+        image re-derives it, doing (and counting) a fresh system's work."""
+        self._cone = None
 
-        Step ``i`` quantifies the next variables partition ``i`` mentions
-        and no later partition does; step 0 also takes every next
-        variable no partition mentions (only the target can).  The lists
-        depend on the partitions' supports alone, so they are computed
-        once per :attr:`partitions` object.
+    def _cone_data(self) -> tuple:
+        """``(moved, owner, steps, masks)`` for the installed relation.
+
+        ``moved`` are the atoms the relation may change (an expansion
+        view's component atoms, else Σ); ``owner`` maps each moved atom
+        some partition constrains to that partition's index; ``steps[i]``
+        is partition ``i`` with its next-state variables; ``masks[i]`` is
+        ``∃v'. P_i``, filled in the first time partition ``i`` is skipped
+        (a monolithic relation rarely is, and its mask is costly).  All of
+        it is read off the partition BDDs — nothing comes from the model
+        that produced them — and derived once per relation; a lone
+        partition owns every moved atom.
         """
-        cached = self._partition_schedule
-        if cached is not None and cached[0] is self.partitions:
+        parts = self.partitions or [self.transition]
+        cached = self._cone
+        if cached is not None and cached[0] == parts:
             return cached[1]
-        assert self.partitions is not None
-        unmentioned = {primed(a) for a in self.atoms}
-        steps: list[set[str]] = []
-        for partition in reversed(self.partitions):
-            steps.append(self.bdd.support(partition) & unmentioned)
-            unmentioned -= steps[-1]
-        steps[-1] |= unmentioned
-        schedule = [sorted(names) for names in reversed(steps)]
-        self._partition_schedule = (self.partitions, schedule)
-        return schedule
+        bdd = self.bdd
+        moved = frozenset(
+            self.component.atoms if self.component is not None else self.atoms
+        )
+        owner: dict[str, int] = {}
+        steps: list[tuple[int, list[str]]] = []
+        # a lone partition takes every next bit; walking a monolithic
+        # relation for its support would cost more than it saves
+        supports = (
+            [bdd.support(p) for p in parts]
+            if len(parts) > 1
+            else [{primed(a) for a in moved}]
+        )
+        for i, (partition, support) in enumerate(zip(parts, supports)):
+            bits = sorted(a for a in moved if primed(a) in support)
+            for a in bits:
+                if a in owner:
+                    raise SystemError_(
+                        f"partitions {owner[a]} and {i} both constrain "
+                        f"{primed(a)!r}: next-state supports must be disjoint"
+                    )
+                owner[a] = i
+            steps.append((partition, [primed(a) for a in bits]))
+        masks: list[int | None] = [None] * len(steps)
+        data = (moved, owner, steps, masks)
+        self._cone = (list(parts), data)
+        return data
 
     def post_image(self, s: int) -> int:
         """States reachable from ``S`` in one R-step."""
@@ -250,8 +338,18 @@ class SymbolicSystem:
         return has_succ == TRUE
 
     def node_count(self) -> int:
-        """BDD nodes representing the transition relation (SMV metric)."""
-        return self.bdd.node_count(self.transition)
+        """BDD nodes representing the transition relation (SMV metric),
+        counted once per relation and variable order.
+
+        An expansion view reports its component's own relation: the
+        frame and product it never builds are no part of its checks.
+        """
+        if self.component is not None:
+            return self.component.node_count()
+        key = (self.transition, self.bdd.stats.reorders)
+        if self._nodes is None or self._nodes[0] != key:
+            self._nodes = (key, self.bdd.node_count(self.transition))
+        return self._nodes[1]
 
 
 def symbolic_compose(m1: SymbolicSystem, m2: SymbolicSystem) -> SymbolicSystem:
@@ -287,6 +385,33 @@ def symbolic_compose_all(systems: Sequence[SymbolicSystem]) -> SymbolicSystem:
 
 
 def symbolic_expand(m: SymbolicSystem, extra_atoms: Iterable[str]) -> SymbolicSystem:
-    """Expansion ``m ∘ (Σ', I)`` at the BDD level."""
+    """Expansion ``m ∘ (Σ', I)`` at the BDD level, materialised: frame,
+    product and stutter closure over the union alphabet.  Proof
+    obligations use :func:`expansion_view`; this is its reference."""
     identity = SymbolicSystem(extra_atoms)
     return symbolic_compose(m, identity)
+
+
+def expansion_view(m: SymbolicSystem, extra_atoms: Iterable[str]) -> SymbolicSystem:
+    """Expansion ``m ∘ (Σ', I)`` as a view over ``Σ_m ∪ Σ'``.
+
+    The view's manager holds ``m``'s partitions (or its relation, when it
+    has none) and nothing else: no frame on ``Σ'`` and no product
+    relation.  Its relation ``(R_m ∧ Id_{Σ'}) ∨ Id`` — the relation
+    :func:`symbolic_expand` builds — has the pre-image
+    ``Q ∨ ∃x'_m. R_m ∧ Q[x_m := x'_m]``, which :meth:`SymbolicSystem.pre_image`
+    computes from the partitions alone (``stutter`` set, ``component``
+    naming the atoms it renames).  ``transition`` materialises the
+    expansion relation only if asked for; ``node_count`` reports ``m``'s.
+    """
+    view = SymbolicSystem(set(m.atoms) | set(extra_atoms))
+    memo: dict[int, int] = {}
+    partitions = [
+        transfer(p, m.bdd, view.bdd, memo) for p in m.partitions or [m.transition]
+    ]
+    view.partitions = partitions
+    view.stutter = True
+    view.component = m
+    if view.bdd.reorder_mode == "sift":
+        view.reorder()
+    return view

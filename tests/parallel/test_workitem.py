@@ -71,6 +71,29 @@ class TestSpecDerivation:
         assert rebuilt.transition == bare.transition
         assert set(rebuilt.to_explicit().edges) == set(bare.to_explicit().edges)
 
+    def test_expansion_view_ships_its_materialised_relation(self):
+        # a view's partitions image only with its component, which no
+        # snapshot carries: the rebuilt system images through the relation
+        from repro.systems.symbolic import expansion_view
+
+        view = expansion_view(
+            SymbolicSystem.from_explicit(TokenRing(2).process(0)), {"other"}
+        )
+        rebuilt = build_system(spec_of_component(view), "symbolic")
+        assert rebuilt.partitions is None
+
+        def states(system, u):
+            names = list(system.atoms)
+            return {
+                frozenset(a for a in names if assignment[a])
+                for assignment in system.bdd.iter_sat(u, names)
+            }
+
+        for name in view.atoms:
+            assert states(
+                rebuilt, rebuilt.pre_image(rebuilt.bdd.var(name))
+            ) == states(view, view.pre_image(view.bdd.var(name)))
+
     def test_unknown_factory_rejected(self):
         with pytest.raises(ParallelError):
             build_system(FactorySpec(name="no.such.factory"), "symbolic")
@@ -232,3 +255,44 @@ class TestRunWorkItem:
             expand_to=("other",),
         )
         assert not bool(run_work_item(item).result)
+
+    def test_symbolic_expansion_extra_atom_only_stutters(self):
+        # the symbolic expansion view frames the extra atom the same way
+        item = WorkItem(
+            system=spec_of_component(TokenRing(2).process(0)),
+            formula=parse_ctl("EF other"),
+            engine="symbolic",
+            expand_to=("other",),
+        )
+        assert not bool(run_work_item(item).result)
+
+
+class TestWorkerCacheBounds:
+    def test_caps_hold_across_more_specs_than_the_cap(self):
+        from repro.parallel import worker
+
+        specs = [
+            ExplicitSpec(
+                atoms=(f"a{i}",), edges=(((), (f"a{i}",)),), reflexive=True
+            )
+            for i in range(worker._CACHE_CAP + 5)
+        ]
+        for spec in specs:
+            item = WorkItem(
+                system=spec,
+                formula=parse_ctl("EF " + spec.atoms[0]),
+                engine="symbolic",
+                expand_to=("z",),
+            )
+            assert bool(run_work_item(item).result)
+            assert len(worker._SYSTEMS) <= worker._CACHE_CAP
+            assert len(worker._CHECKERS) <= worker._CACHE_CAP
+        # FIFO: the newest checker is still cached, the oldest was evicted
+        for spec, cached in ((specs[-1], True), (specs[0], False)):
+            item = WorkItem(
+                system=spec,
+                formula=parse_ctl("EF " + spec.atoms[0]),
+                engine="symbolic",
+                expand_to=("z",),
+            )
+            assert run_work_item(item).cached is cached

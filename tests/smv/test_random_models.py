@@ -9,7 +9,11 @@ semantics must coincide.
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
+
+from repro.bdd.manager import TRUE
+from repro.bdd.ops import transfer
 
 from repro.smv.ast import (
     Assign,
@@ -27,7 +31,12 @@ from repro.smv.compile_explicit import to_system
 from repro.smv.compile_symbolic import to_symbolic
 from repro.smv.elaborate import SmvModel
 from repro.smv.simulate import simulate
-from repro.systems.symbolic import primed
+from repro.systems.symbolic import (
+    SymbolicSystem,
+    expansion_view,
+    primed,
+    symbolic_expand,
+)
 
 _DOMAINS = {
     "v0": ("a", "b"),
@@ -71,7 +80,9 @@ def value_exprs(draw, var: str):
 
 
 @st.composite
-def modules(draw):
+def modules(draw, fallthrough=False):
+    """A random module; with ``fallthrough`` a ``case`` may lack its
+    default branch (only a reflexive compile accepts that)."""
     decls = [
         VarDecl("v0", _DOMAINS["v0"]),
         VarDecl("v1", _DOMAINS["v1"]),
@@ -86,7 +97,8 @@ def modules(draw):
             branches.append(
                 (draw(conditions()), draw(value_exprs(name)))
             )
-        branches.append((IntLit(1), draw(value_exprs(name))))  # default
+        if not (fallthrough and branches and draw(st.booleans())):
+            branches.append((IntLit(1), draw(value_exprs(name))))  # default
         assigns.append(Assign("next", name, Case(tuple(branches))))
     return Module(name="main", variables=decls, assigns=assigns)
 
@@ -149,7 +161,115 @@ def test_partitioned_pre_image_exact_on_random_models(module):
             bdd.rename(target, {a: primed(a) for a in sym.atoms}),
             next_vars,
         )
-        assert sym.pre_image_partitioned(target) == mono
+        assert sym.pre_image(target) == mono
+
+
+#: A ``case`` without its default: no successor from valid states with
+#: ``!go``, so only a reflexive compile accepts it, and its partition for
+#: ``x`` is not total.
+FALLS_THROUGH = Module(
+    name="main",
+    variables=[VarDecl("x", "boolean"), VarDecl("go", "boolean")],
+    assigns=[
+        Assign("next", "x", Case(((Name("go"), UnaryOp("!", Name("x"))),)))
+    ],
+)
+
+#: Extra atoms of an expansion, sorting before and after the module's own.
+_EXTRA = ("aux", "zz")
+
+
+def assert_view_exact(m, extra, targets_of):
+    """The expansion view's pre-images are node-equal to the relational
+    product over :func:`symbolic_expand`'s materialised relation, moved
+    into the view's manager, for every target ``targets_of(view)`` builds
+    and its negation."""
+    view = expansion_view(m, extra)
+    bdd = view.bdd
+    expanded = symbolic_expand(m, extra)
+    relation = transfer(expanded.transition, expanded.bdd, bdd)
+    targets = list(targets_of(view))
+    targets += [bdd.negate(t) for t in targets]
+    for target in targets:
+        expected = bdd.and_exists(
+            relation,
+            bdd.rename(target, {a: primed(a) for a in view.atoms}),
+            [primed(a) for a in view.atoms],
+        )
+        assert view.pre_image(target) == expected, "view pre-image differs"
+
+
+def shaped_targets(conjunctions=()):
+    """A literal, an xor chain and one conjunction per list of
+    ``(atom index, polarity)`` pairs, over the view's atoms."""
+
+    def targets_of(view):
+        bdd = view.bdd
+        atoms = view.atoms
+        xor = bdd.var(atoms[0])
+        for name in atoms[1:]:
+            xor = bdd.apply("xor", xor, bdd.var(name))
+        yield bdd.var(atoms[0])
+        yield xor
+        for literals in conjunctions:
+            yield bdd.conj(
+                (bdd.var if positive else bdd.nvar)(atoms[i % len(atoms)])
+                for i, positive in literals
+            )
+
+    return targets_of
+
+
+@given(
+    st.data(),
+    st.integers(0, 2),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 9), st.booleans()), min_size=1, max_size=3),
+        max_size=2,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_expansion_view_matches_materialised_expansion(data, n_extra, conjunctions):
+    reflexive = data.draw(st.booleans())
+    module = data.draw(modules(fallthrough=reflexive))
+    m = to_symbolic(SmvModel(module), reflexive=reflexive)
+    assert_view_exact(m, _EXTRA[:n_extra], shaped_targets(conjunctions))
+
+
+@pytest.mark.parametrize("n_extra", [0, 1, 2])
+def test_expansion_view_exact_on_fall_through_module(n_extra):
+    m = to_symbolic(SmvModel(FALLS_THROUGH), reflexive=True)
+    # the x partition is not total: skipping it takes its ∃x'. P_x mask
+    assert m.bdd.exists(["x'"], m.partitions[0]) != TRUE
+    assert_view_exact(
+        m, _EXTRA[:n_extra], shaped_targets([[(0, True)], [(1, False)]])
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_expansion_view_exact_on_afs2(n):
+    """Every AFS-2 component's view against the proof's invariant, its
+    negation, and each conjunct and its negation."""
+    from repro.bdd.formula import prop_to_bdd
+    from repro.casestudies.afs2 import Afs2
+    from repro.logic.ctl import And
+
+    study = Afs2(n)
+    inv = study.invariant()
+    formulas, stack = [inv], [inv]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack += [f.left, f.right]
+        else:
+            formulas.append(f)
+    pf = study.proof()
+    for m in pf.components.values():
+        assert_view_exact(
+            m,
+            pf.sigma_star - set(m.atoms),
+            lambda view: [prop_to_bdd(view.bdd, f) for f in formulas],
+        )
 
 
 @given(modules())
@@ -160,3 +280,52 @@ def test_every_valid_state_total(module):
     system = to_system(model, reflexive=False)
     for env in model.encoding.all_assignments():
         assert system.successors(model.encoding.state_of(env))
+
+
+def assert_fall_through_verdicts():
+    """Verdicts the proof engine reaches on the fall-through module's
+    expansion: with ``!go`` only the stutter step is left."""
+    from repro.compositional.proof import _Backend
+    from repro.logic.ctl import EX, TRUE as F_TRUE, Atom, Implies, Not
+
+    m = to_symbolic(SmvModel(FALLS_THROUGH), reflexive=True)
+    checker = _Backend("symbolic").expansion_checker(
+        m, frozenset(m.atoms) | {"zz"}
+    )
+    go = Atom("go")
+    assert not checker.holds(Implies(Not(go), EX(go))), "!go -> EX go holds"
+    assert checker.holds(EX(F_TRUE)), "EX TRUE fails"
+
+
+def test_fall_through_verdicts():
+    assert_fall_through_verdicts()
+
+
+# Engine mutants, applied by monkeypatching: each must fail a named
+# assertion of the tests above, either a wrong image or a wrong verdict.
+def test_mutant_skip_without_totality_mask_is_killed(monkeypatch):
+    original = SymbolicSystem._cone_data
+
+    def every_partition_total(self):
+        moved, owner, steps, _ = original(self)
+        return moved, owner, steps, [TRUE] * len(steps)
+
+    monkeypatch.setattr(SymbolicSystem, "_cone_data", every_partition_total)
+    with pytest.raises(AssertionError, match="view pre-image differs"):
+        test_expansion_view_exact_on_fall_through_module(1)
+    with pytest.raises(AssertionError, match="!go -> EX go holds"):
+        assert_fall_through_verdicts()
+
+
+def test_mutant_without_stutter_disjunct_is_killed(monkeypatch):
+    # a class-level data descriptor shadows every system's `stutter`
+    monkeypatch.setattr(
+        SymbolicSystem,
+        "stutter",
+        property(lambda self: False, lambda self, value: None),
+        raising=False,
+    )
+    with pytest.raises(AssertionError, match="view pre-image differs"):
+        test_expansion_view_exact_on_fall_through_module(1)
+    with pytest.raises(AssertionError, match="EX TRUE fails"):
+        assert_fall_through_verdicts()

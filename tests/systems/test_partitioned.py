@@ -38,6 +38,19 @@ def _monolithic_pre_image(sym, target):
     )
 
 
+def _targets(sym):
+    """Literals, their negations, an xor chain and the all-true cube."""
+    bdd = sym.bdd
+    targets = [bdd.var(a) for a in sym.atoms]
+    targets += [bdd.negate(t) for t in list(targets)]
+    xor = bdd.var(sym.atoms[0])
+    for atom_name in sym.atoms[1:]:
+        xor = bdd.apply("xor", xor, bdd.var(atom_name))
+    targets.append(xor)
+    targets.append(bdd.conj(bdd.var(a) for a in sym.atoms))
+    return targets
+
+
 class TestPartitionStructure:
     def test_one_partition_per_variable(self):
         sym = _sym()
@@ -48,14 +61,23 @@ class TestPartitionStructure:
         sym = _sym()
         assert sym.bdd.conj(sym.partitions) == sym.transition
 
-    def test_reflexive_compile_has_no_partition(self):
+    def test_reflexive_compile_keeps_raw_partitions(self):
         sym = to_symbolic(SmvModel(parse_module(MODEL)), reflexive=True)
-        assert sym.partitions is None
-        assert not sym.prefer_partitions
+        bdd = sym.bdd
+        assert sym.stutter and len(sym.partitions) == 3
+        # the reflexive relation is the raw conjunction plus the stutter step
+        assert sym.transition == bdd.apply(
+            "or", bdd.conj(sym.partitions), sym.identity_relation()
+        )
+        for target in _targets(sym):
+            assert sym.pre_image(target) == _monolithic_pre_image(sym, target)
 
-    def test_prefer_partitions_on_by_default(self):
-        # ≥ 2 conjunctive partitions → the compiler opts the system in
-        assert _sym().prefer_partitions
+    def test_pre_image_matches_monolithic_product(self):
+        # ≥ 2 conjunctive partitions: every image goes through them
+        sym = _sym()
+        assert len(sym.partitions) >= 2
+        for target in _targets(sym):
+            assert sym.pre_image(target) == _monolithic_pre_image(sym, target)
 
     def test_single_variable_model_stays_monolithic(self):
         sym = to_symbolic(
@@ -65,13 +87,15 @@ class TestPartitionStructure:
                 )
             )
         )
-        assert not sym.prefer_partitions
+        # one partition is the whole relation
+        assert sym.partitions == [sym.transition]
+        for target in _targets(sym):
+            assert sym.pre_image(target) == _monolithic_pre_image(sym, target)
 
 
 class TestPartitionedPreImage:
     def test_matches_monolithic_on_state_sets(self):
         sym = _sym()
-        sym.prefer_partitions = False  # pin pre_image to the monolithic path
         bdd = sym.bdd
         # a spread of target sets: literals, cubes, xor-chains
         targets = [bdd.var("b"), bdd.nvar("inp")]
@@ -81,15 +105,18 @@ class TestPartitionedPreImage:
             xor = bdd.apply("xor", xor, bdd.var(atom_name))
         targets.append(xor)
         for target in targets:
-            assert sym.pre_image_partitioned(target) == sym.pre_image(target)
+            assert sym.pre_image(target) == _monolithic_pre_image(sym, target)
 
-    def test_prefer_partitions_switch(self):
+    def test_partitions_and_single_relation_agree(self):
         sym = _sym()
-        sym.prefer_partitions = False
-        target = sym.bdd.var("b")
-        expected = sym.pre_image(target)
-        sym.prefer_partitions = True
-        assert sym.pre_image(target) == expected
+        targets = _targets(sym)
+        partitioned = [sym.pre_image(t) for t in targets]
+        # installing the relation drops its partition: one partition left
+        sym.set_transition(sym.transition, reflexive=False)
+        assert sym.partitions is None
+        for target, image in zip(targets, partitioned):
+            assert image == sym.pre_image(target)
+            assert image == _monolithic_pre_image(sym, target)
 
     def test_figure1_pre_images_agree(self):
         """Partitioned and monolithic pre-images agree on every subset
@@ -103,35 +130,34 @@ class TestPartitionedPreImage:
         targets += [bdd.negate(t) for t in list(targets)]
         targets.append(sym.bdd.conj(bdd.var(a) for a in sym.atoms))
         for target in targets:
-            assert sym.pre_image_partitioned(target) == _monolithic_pre_image(
-                sym, target
-            )
+            assert sym.pre_image(target) == _monolithic_pre_image(sym, target)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_afs2_server_pre_images_agree(self, n):
-        """The static quantification schedule against the monolithic
-        relational product on the AFS-2 server, n = 2..4."""
+        """The cone-pruned partitioned image against the monolithic
+        relational product on the AFS-2 server, n = 2..4, raw and
+        stutter-closed."""
         from repro.casestudies.afs2 import server_source
 
-        sym = to_symbolic(SmvModel(parse_module(server_source(n))))
-        assert len(sym.partitions) >= 2
-        bdd = sym.bdd
-        targets = [bdd.var(a) for a in sym.atoms]
-        targets += [bdd.negate(t) for t in list(targets)]
-        xor = bdd.var(sym.atoms[0])
-        for atom_name in sym.atoms[1:]:
-            xor = bdd.apply("xor", xor, bdd.var(atom_name))
-        targets.append(xor)
-        targets.append(bdd.conj(bdd.var(a) for a in sym.atoms))
-        for target in targets:
-            assert sym.pre_image_partitioned(target) == _monolithic_pre_image(
-                sym, target
+        for reflexive in (False, True):
+            sym = to_symbolic(
+                SmvModel(parse_module(server_source(n))), reflexive=reflexive
             )
+            assert len(sym.partitions) >= 2
+            for target in _targets(sym):
+                assert sym.pre_image(target) == _monolithic_pre_image(
+                    sym, target
+                )
 
-    def test_missing_partition_raises(self):
-        plain = SymbolicSystem({"a"})
-        with pytest.raises(SystemError_):
-            plain.pre_image_partitioned(plain.bdd.var("a"))
+    def test_overlapping_next_supports_raise(self):
+        plain = SymbolicSystem({"a", "b"})
+        bdd = plain.bdd
+        plain.partitions = [
+            bdd.var("a'"),
+            bdd.apply("and", bdd.var("a'"), bdd.var("b'")),
+        ]
+        with pytest.raises(SystemError_, match="disjoint"):
+            plain.pre_image(bdd.var("a"))
 
 
 class TestCheckerWithPartitions:
@@ -141,9 +167,10 @@ class TestCheckerWithPartitions:
 
         model = SmvModel(parse_module(MODEL))
         mono = to_symbolic(model)
-        mono.prefer_partitions = False
+        mono.set_transition(mono.transition, reflexive=False)
+        assert mono.partitions is None  # one partition: the whole relation
         part = to_symbolic(model)
-        assert part.prefer_partitions  # compiler default since the flip
+        assert part.partitions is not None
         r = Restriction(init=model.initial_formula())
         spec = Implies(
             model.encoding.eq_formula("a", "x"),
