@@ -1,12 +1,11 @@
 """Ablation A5 — materialised expansion vs lazy expansion view.
 
 A proof obligation on a component ``M`` is checked on its expansion
-``M ∘ (Σ*∖Σ_M, I)``.  The materialised side builds that relation over Σ*
-with :func:`symbolic_expand` (frame on the extra atoms, product, stutter
+``M ∘ (Σ*∖Σ_M, I)``, the one-component :func:`composite_view` — ``M``'s
+partitions moved into a Σ* manager.  The materialised side builds the
+view's ``transition`` (frame on the extra atoms, product, stutter
 closure) and takes one relational product through it.  The lazy side
-builds an :func:`expansion_view` — ``M``'s partitions moved into a Σ*
-manager — and images through the target's cone, adding the stutter step
-as ``∨ Q``.  Measured on the AFS-2 server of the n = 3 proof: building
+images through the target's cone, adding the stutter step as ``∨ Q``.  Measured on the AFS-2 server of the n = 3 proof: building
 the expansion plus the pre-image of ``¬Inv``, the image its
 ``Inv ⇒ AX Inv`` obligation takes (unsplit on both sides).
 """
@@ -15,7 +14,7 @@ from repro.bdd.formula import prop_to_bdd
 from repro.bdd.ops import transfer
 from repro.casestudies.afs2 import Afs2
 from repro.logic.ctl import Not
-from repro.systems.symbolic import expansion_view, primed, symbolic_expand
+from repro.systems.symbolic import composite_view, primed
 
 
 def _setup():
@@ -27,7 +26,7 @@ def _setup():
 
 
 def _materialised(server, extra, target):
-    expanded = symbolic_expand(server, extra)
+    expanded = composite_view([server], extra)
     bdd = expanded.bdd
     image = bdd.and_exists(
         expanded.transition,
@@ -40,7 +39,7 @@ def _materialised(server, extra, target):
 
 
 def _lazy(server, extra, target):
-    view = expansion_view(server, extra)
+    view = composite_view([server], extra)
     return view, view.pre_image(prop_to_bdd(view.bdd, target))
 
 

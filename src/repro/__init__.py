@@ -41,8 +41,6 @@ from repro.systems import (
     compose_all,
     expand,
     identity_system,
-    symbolic_compose,
-    symbolic_expand,
 )
 
 __version__ = "1.0.0"
@@ -54,8 +52,6 @@ __all__ = [
     "compose_all",
     "expand",
     "SymbolicSystem",
-    "symbolic_compose",
-    "symbolic_expand",
     "Encoding",
     "FiniteVar",
     "Formula",

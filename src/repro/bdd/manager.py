@@ -64,7 +64,8 @@ level's subtable — measurably cheaper than the old global
 :meth:`BDD.conj` / :meth:`BDD.disj` fold **balanced trees** over their
 operands — a linear left-fold drags one growing accumulator through every
 step, which is directly visible in transition-relation construction
-(``frame``/``symbolic_compose``); the balanced fold keeps intermediates
+(``frame``, a compiled relation's partitions, a composite's
+materialised ``R*``); the balanced fold keeps intermediates
 small and cache keys diverse.  Recursion depth is bounded by the number
 of variables, which is small (tens) for the systems in this domain.
 

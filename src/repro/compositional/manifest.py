@@ -18,8 +18,8 @@ from repro.compositional.proof import CompositionProof
 from repro.logic.ctl import Formula
 from repro.logic.parser import parse_ctl
 from repro.logic.restriction import Restriction
-from repro.systems.compose import compose_all
-from repro.systems.symbolic import SymbolicSystem, symbolic_compose_all
+from repro.systems.compose import composite
+from repro.systems.symbolic import SymbolicSystem
 from repro.systems.system import System
 
 
@@ -69,20 +69,12 @@ def check_manifest(
     means the current components no longer satisfy a previously-proven
     system property.
     """
-    if backend == "symbolic":
-        composite = symbolic_compose_all(
-            [
-                s if isinstance(s, SymbolicSystem) else SymbolicSystem.from_explicit(s)
-                for s in components.values()
-            ]
-        )
-        checker = SymbolicChecker(composite)
-    else:
-        explicit = [
-            s.to_explicit() if isinstance(s, SymbolicSystem) else s
-            for s in components.values()
-        ]
-        checker = ExplicitChecker(compose_all(explicit))
+    system = composite(components.values(), backend)
+    checker = (
+        SymbolicChecker(system)
+        if isinstance(system, SymbolicSystem)
+        else ExplicitChecker(system)
+    )
     results = []
     for formula, restriction in load_conclusions(text):
         results.append(

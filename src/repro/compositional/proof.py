@@ -71,12 +71,8 @@ from repro.compositional.rules import (
     rule5_guarantee,
     rule5_premise,
 )
-from repro.systems.compose import compose_all, expand
-from repro.systems.symbolic import (
-    SymbolicSystem,
-    expansion_view,
-    symbolic_compose_all,
-)
+from repro.systems.compose import composite
+from repro.systems.symbolic import SymbolicSystem
 from repro.systems.system import System
 
 
@@ -175,17 +171,11 @@ class _Backend:
 
     def expansion_checker(self, system: Component, sigma_star: frozenset[str]):
         extra = sigma_star - _atoms_of(system)
-        if self.kind == "explicit":
-            if isinstance(system, SymbolicSystem):
-                system = system.to_explicit()
-            return ExplicitChecker(expand(system, extra) if extra else system)
-        if not isinstance(system, SymbolicSystem):
-            system = SymbolicSystem.from_explicit(system)
-        if extra:
-            # Lemma 5's expansion, imaged through the component's own
-            # partitions: no frame, no product relation over Σ*
-            system = expansion_view(system, extra)
-        return SymbolicChecker(system)
+        # Lemma 5's expansion; symbolically a view imaging through the
+        # component's own partitions: no frame, no product relation over Σ*
+        return self.component_checker(
+            composite([system], self.kind, extra) if extra else system
+        )
 
     def component_checker(self, system: Component):
         if self.kind == "explicit":
@@ -1088,16 +1078,8 @@ class CompositionProof:
     # ------------------------------------------------------------------
     # validation and reporting
     # ------------------------------------------------------------------
-    def composite(self) -> System:
-        """Build the actual product system (exponential — tests only)."""
-        explicit = [
-            s.to_explicit() if isinstance(s, SymbolicSystem) else s
-            for s in self.components.values()
-        ]
-        return compose_all(explicit)
-
     def verify_monolithic(self) -> list[tuple[Proven, CheckResult]]:
-        """Re-check every recorded conclusion on the real product system.
+        """Re-check every recorded conclusion on the real composite.
 
         This is the soundness oracle used by the test suite: the whole
         point of the calculus is that these monolithic checks are
@@ -1106,18 +1088,10 @@ class CompositionProof:
         with TRACER.span("proof.verify_monolithic", category="proof"):
             if self.parallel is not None:
                 return self._verify_monolithic_parallel()
-            if self._backend.kind == "symbolic":
-                sym = symbolic_compose_all(
-                    [
-                        s
-                        if isinstance(s, SymbolicSystem)
-                        else SymbolicSystem.from_explicit(s)
-                        for s in self.components.values()
-                    ]
-                )
-                checker = SymbolicChecker(sym)
-            else:
-                checker = ExplicitChecker(self.composite())
+            backend = self._backend
+            checker = backend.component_checker(
+                composite(self.components.values(), backend.kind)
+            )
             out = []
             for proven in self.conclusions:
                 out.append(
@@ -1128,10 +1102,10 @@ class CompositionProof:
     def _verify_monolithic_parallel(self) -> list[tuple[Proven, CheckResult]]:
         """Fan the conclusion re-checks out over the worker pool.
 
-        Workers build (and cache) the product system from a
+        Workers build (and cache) the composite from a
         :class:`~repro.parallel.workitem.ComposeSpec` of the component
-        specs, so the exponential composition is constructed once per
-        worker, then every conclusion is one independent work item.
+        specs, so it is constructed once per worker, then every
+        conclusion is one independent work item.
         """
         from repro.bdd.manager import default_reorder
         from repro.parallel.pool import shared_scheduler

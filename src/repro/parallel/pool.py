@@ -278,25 +278,24 @@ class ObligationScheduler:
         items = list(items)
         if store is None:
             return self.run(items, timeout=timeout, tracer=tracer)
-        from repro.checking.result import CheckResult
         from repro.store.store import StoreRecord
 
         outcomes: list[WorkOutcome | None] = [None] * len(items)
         pending: list[tuple[int, WorkItem]] = []
         for index, item in enumerate(items):
-            record = (
-                store.get(item.fingerprint, kind=kind)
+            found = (
+                store.replay(
+                    item.fingerprint,
+                    item.formula,
+                    item.restriction,
+                    item.text,
+                    kind=kind,
+                )
                 if item.fingerprint
                 else None
             )
-            result = (
-                CheckResult.replayed(
-                    record.result, item.formula, item.restriction, item.text
-                )
-                if record is not None and record.result
-                else None
-            )
-            if result is not None:
+            if found is not None:
+                _, result = found
                 outcomes[index] = WorkOutcome(
                     result=result,
                     label=item.label,

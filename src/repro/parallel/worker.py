@@ -9,8 +9,8 @@ stats delta, and — when the parent is tracing — the recorded span tree
 as JSONL records plus the wall-clock origin needed to rebase them.
 
 The cache is keyed by ``(spec, engine, expand_to, reorder)``: a pool worker
-builds each component expansion (an
-:func:`~repro.systems.symbolic.expansion_view`) once and reuses the
+builds each component expansion (a one-component
+:func:`~repro.systems.symbolic.composite_view`) once and reuses the
 checker for every later obligation on the same system — the process-pool
 analogue of the sequential engine's per-component expansion-checker
 cache — until ``_CACHE_CAP`` newer ones have evicted it.  The checker's
@@ -90,8 +90,8 @@ def build_system(spec: SystemSpec, engine: str):
     from repro.smv.elaborate import SmvModel
     from repro.smv.modules import flatten
     from repro.smv.parser import parse_program
-    from repro.systems.compose import compose_all
-    from repro.systems.symbolic import SymbolicSystem, symbolic_compose_all
+    from repro.systems.compose import composite
+    from repro.systems.symbolic import SymbolicSystem
     from repro.systems.system import System
 
     if isinstance(spec, SmvSpec):
@@ -122,7 +122,7 @@ def build_system(spec: SystemSpec, engine: str):
         sym = SymbolicSystem(spec.atoms, bdd=bdd)
         sym.transition = spec.transition
         if spec.partitions:
-            sym.partitions = list(spec.partitions)
+            sym.groups = [(frozenset(sym.atoms), list(spec.partitions))]
             sym.stutter = spec.stutter
         if engine == "explicit":
             return sym.to_explicit()
@@ -133,21 +133,7 @@ def build_system(spec: SystemSpec, engine: str):
             raise ParallelError(f"unknown system factory {spec.name!r}")
         return factory(*spec.args)
     if isinstance(spec, ComposeSpec):
-        parts = [_cached_system(p, engine) for p in spec.parts]
-        if engine == "symbolic":
-            return symbolic_compose_all(
-                [
-                    p
-                    if isinstance(p, SymbolicSystem)
-                    else SymbolicSystem.from_explicit(p)
-                    for p in parts
-                ]
-            )
-        explicit = [
-            p.to_explicit() if isinstance(p, SymbolicSystem) else p
-            for p in parts
-        ]
-        return compose_all(explicit)
+        return composite([_cached_system(p, engine) for p in spec.parts], engine)
     raise ParallelError(f"unknown system spec {type(spec).__name__}")
 
 

@@ -308,15 +308,15 @@ def spec_of_component(system) -> SystemSpec:
                 source=source,
                 reflexive=bool(getattr(system, "smv_reflexive", True)),
             )
-        # an expansion view's partitions image only alongside the
-        # component it expands: ship its materialised relation alone
-        view = system.component is not None
+        # only a compiled system's one group moves all of Σ; a composite
+        # view ships its materialised relation alone
+        plain = [moved for moved, _ in system.groups] == [set(system.atoms)]
         transition = system.transition  # built before the snapshot
         return SnapshotSpec(
             snapshot=system.bdd.snapshot(),
             atoms=tuple(system.atoms),
             transition=transition,
-            partitions=() if view else tuple(system.partitions or ()),
-            stutter=system.stutter and not view,
+            partitions=tuple(system.partitions) if plain else (),
+            stutter=system.stutter and plain,
         )
     raise ParallelError(f"cannot derive a work spec for {type(system).__name__}")

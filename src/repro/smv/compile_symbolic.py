@@ -89,7 +89,7 @@ def to_symbolic(
     sym.set_transition(bdd.conj(partitions), reflexive=reflexive)
     # the raw partitions serve both compiles: the reflexive relation is
     # their conjunction plus the stutter step, which images add as ∨ Q
-    sym.partitions = partitions
+    sym.groups = [(frozenset(sym.atoms), partitions)]
     sym.stutter = reflexive
     if bdd.reorder_mode == "sift":
         # sift once, after the relation and its partitions exist — the

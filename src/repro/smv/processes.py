@@ -226,8 +226,7 @@ def check_processes(source: str, backend: str = "symbolic"):
     from repro.obs.tracer import TRACER
     from repro.smv.pretty import spec_to_str
     from repro.smv.run import SmvReport
-    from repro.systems.compose import compose_all
-    from repro.systems.symbolic import symbolic_compose_all
+    from repro.systems.compose import composite
 
     with TRACER.span(
         "smv.check_processes", category="smv", backend=backend
@@ -236,17 +235,16 @@ def check_processes(source: str, backend: str = "symbolic"):
             split = load_processes(source)
         with TRACER.span("smv.compose", category="smv", backend=backend):
             if backend == "symbolic":
-                composite = symbolic_compose_all(
-                    list(split.symbolic_systems().values())
-                )
-                checker = SymbolicChecker(composite)
+                system = composite(split.symbolic_systems().values(), backend)
+                checker = SymbolicChecker(system)
+                # the components' own relations: the view builds no product
                 nodes, transition = (
-                    composite.bdd.nodes_allocated,
-                    composite.node_count(),
+                    system.bdd.nodes_allocated,
+                    system.node_count(),
                 )
             else:
                 checker = ExplicitChecker(
-                    compose_all(list(split.systems().values()))
+                    composite(split.systems().values(), backend)
                 )
                 nodes = transition = 0
         restriction = Restriction(

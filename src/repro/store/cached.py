@@ -164,16 +164,14 @@ def cached_check(
         with tracer.span("store.probe", category="store", specs=count):
             if store is not None:
                 for i, fp in enumerate(fingerprints):
-                    record = store.get(fp, kind="spec")
-                    if record is None or not record.result:
-                        continue
                     # a record written for another spec or restriction
                     # is a miss
-                    results[i] = CheckResult.replayed(
-                        record.result, model.specs[i], restriction, bound[i]
+                    found = store.replay(
+                        fp, model.specs[i], restriction, bound[i], kind="spec"
                     )
-                    if results[i] is None:
+                    if found is None:
                         continue
+                    record, results[i] = found
                     counterexamples[i] = record.counterexample
                     cached_flags[i] = True
                     if progress is not None:

@@ -142,10 +142,10 @@ class ObligationCache:
         ``formula`` under ``restriction`` (``text`` is what
         :meth:`address` returned); ``None`` on a miss, and on a record
         written for another formula or restriction."""
-        record = self.store.get(fingerprint, kind="obligation")
-        if record is None or not record.result:
-            return None
-        return CheckResult.replayed(record.result, formula, restriction, text)
+        found = self.store.replay(
+            fingerprint, formula, restriction, text, kind="obligation"
+        )
+        return None if found is None else found[1]
 
     def save(self, fingerprint: str, formula, result: CheckResult) -> None:
         """Persist a freshly-checked obligation result."""

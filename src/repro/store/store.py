@@ -202,32 +202,63 @@ class ResultStore:
         ``store.hits`` plus ``store.remote_hits``.  ``kind`` tags the
         lookup for the per-kind counters (``store.hits.<kind>``).
         """
+        record, remote = self._read(fingerprint, kind)
+        self._count_lookup(record is not None, remote, kind)
+        return record
+
+    def replay(
+        self, fingerprint: str, formula, restriction, text=None, kind=None
+    ):
+        """``(record, verdict)`` for the record filed under a fingerprint,
+        its verdict bound to *this* check
+        (:meth:`~repro.checking.result.CheckResult.replayed`), or ``None``.
+
+        Looked up and counted like :meth:`get`, except that a record
+        with no verdict, or one written for another formula or
+        restriction, replays nothing and counts as a miss: the hit
+        counters count what was actually replayed.
+        """
+        from repro.checking.result import CheckResult
+
+        record, remote = self._read(fingerprint, kind)
+        result = (
+            CheckResult.replayed(record.result, formula, restriction, text)
+            if record is not None and record.result
+            else None
+        )
+        self._count_lookup(result is not None, remote, kind)
+        return None if result is None else (record, result)
+
+    def _read(
+        self, fingerprint: str, kind: str | None
+    ) -> tuple[StoreRecord | None, bool]:
+        """``(record, fetched remotely)``, counting nothing."""
         path = self.path_for(fingerprint)
         try:
             record = StoreRecord.from_dict(json.loads(path.read_text()))
         except FileNotFoundError:
-            return self._miss(fingerprint, kind)
+            record = None
         except (OSError, ValueError, KeyError, TypeError):
             # unreadable or torn record: drop it and report a miss
             self._discard(path)
-            return self._miss(fingerprint, kind)
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        self._count("hits", kind)
-        return record
-
-    def _miss(self, fingerprint: str, kind: str | None) -> StoreRecord | None:
-        """A local miss: last chance for the remote tier to serve it."""
+            record = None
+        if record is not None:
+            try:
+                os.utime(path)
+            except OSError:
+                pass
+            return record, False
+        # a local miss: last chance for the remote tier to serve it
         record = self._fetch_remote(fingerprint, kind)
         if record is None:
-            self._count("misses", kind)
-            return None
+            return None, False
         self.local_record(fingerprint, record, kind=kind)
-        self._count("hits", kind)
-        self.metrics.add("store.remote_hits")
-        return record
+        return record, True
+
+    def _count_lookup(self, hit: bool, remote: bool, kind: str | None) -> None:
+        self._count("hits" if hit else "misses", kind)
+        if hit and remote:
+            self.metrics.add("store.remote_hits")
 
     def peek_local(self, fingerprint: str) -> StoreRecord | None:
         """The locally present record, or ``None`` — no counters, no

@@ -1,15 +1,9 @@
 """Systems ``(Σ, R)``: explicit and symbolic representations, composition."""
 
 from repro.systems.builders import chain, cycle, riser, system_from_function, toggle
-from repro.systems.compose import compose, compose_all, expand
+from repro.systems.compose import compose, compose_all, composite, expand
 from repro.systems.encode import Encoding, FiniteVar
-from repro.systems.symbolic import (
-    SymbolicSystem,
-    expansion_view,
-    symbolic_compose,
-    symbolic_compose_all,
-    symbolic_expand,
-)
+from repro.systems.symbolic import SymbolicSystem, composite_view
 from repro.systems.system import MAX_EXPLICIT_ATOMS, System, all_states, identity_system
 
 __all__ = [
@@ -24,12 +18,10 @@ __all__ = [
     "chain",
     "cycle",
     "compose_all",
+    "composite",
     "expand",
     "Encoding",
     "FiniteVar",
     "SymbolicSystem",
-    "expansion_view",
-    "symbolic_compose",
-    "symbolic_compose_all",
-    "symbolic_expand",
+    "composite_view",
 ]

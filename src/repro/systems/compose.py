@@ -14,6 +14,10 @@ in a network".
 The *expansion* of ``M`` over ``Σ'`` is ``M ∘ (Σ', I)`` where ``I`` is the
 identity relation: the same behaviour, embedded in a larger alphabet whose
 extra propositions never change (Lemmas 4–5).
+
+:func:`composite` is the one place that chooses how a composite is built
+for an engine: this module's explicit product, or the symbolic
+:func:`~repro.systems.symbolic.composite_view`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from functools import reduce
 from itertools import combinations
 
 from repro.errors import SystemError_
+from repro.systems.symbolic import SymbolicSystem, composite_view
 from repro.systems.system import MAX_EXPLICIT_ATOMS, System, identity_system
 
 
@@ -81,3 +86,27 @@ def expand(m: System, sigma_prime: Iterable[str]) -> System:
     that ``m`` satisfies.
     """
     return compose(m, identity_system(sigma_prime))
+
+
+def composite(
+    components: Iterable[System | SymbolicSystem],
+    engine: str,
+    extra_atoms: Iterable[str] = (),
+) -> System | SymbolicSystem:
+    """``M_1 ∘ … ∘ M_k ∘ (Σ', I)`` for one engine, converting each
+    component to it: the explicit product (:func:`compose_all`) for
+    ``"explicit"``, the symbolic
+    :func:`~repro.systems.symbolic.composite_view` for ``"symbolic"``."""
+    if engine == "symbolic":
+        return composite_view(
+            [
+                m if isinstance(m, SymbolicSystem) else SymbolicSystem.from_explicit(m)
+                for m in components
+            ],
+            extra_atoms,
+        )
+    explicit = [
+        m.to_explicit() if isinstance(m, SymbolicSystem) else m for m in components
+    ]
+    extra = frozenset(extra_atoms)
+    return compose_all([*explicit, identity_system(extra)] if extra else explicit)

@@ -6,28 +6,28 @@ plus a prime), interleaved in the variable order — the standard layout that
 keeps transition relations small (the ablation bench
 ``bench_ablation_var_order`` measures the alternative).
 
-The relation may also be held as a conjunctive partition ``⋀_v P_v`` —
+The relation may also be held as partition *groups*, one per component:
+a group is a conjunctive partition ``⋀_v P_v`` of one component's step —
 the SMV compiler emits one ``P_v`` per state variable, with disjoint
-next-state supports — optionally stutter-closed as ``⋀_v P_v ∨ Id``.
-Every pre-image goes through the partition (a system without one is its
-own single partition, ``transition``) and touches only the partitions in
-the target's cone of influence (:meth:`SymbolicSystem.pre_image`).
+next-state supports — together with the atoms that step may change.  A
+compiled system is one group moving all of Σ, optionally stutter-closed
+as ``⋀_v P_v ∨ Id``; a system without groups is its own single partition,
+``transition``.  Every pre-image goes through the groups and touches only
+the partitions in the target's cone of influence
+(:meth:`SymbolicSystem.pre_image`).
 
-Symbolic composition implements the paper's ``R*`` directly at the BDD
-level::
+The paper's interleaving composite (§3.1)::
 
-    R* = (R ∧ frame(Σ*−Σ)) ∨ (R' ∧ frame(Σ−Σ')) ∨ Id
+    R* = (R ∧ frame(Σ*−Σ)) ∨ (R' ∧ frame(Σ*−Σ')) ∨ Id
 
-where ``frame(V) = ⋀_{v∈V} (v ↔ v')`` — each component's step leaves the
-other's private propositions untouched, and the identity makes ``R*``
-reflexive (it is already implied when the components are reflexive).
-
-A component's expansion ``M ∘ (Σ*∖Σ_M, I)``, where the paper's Lemma 5
-discharges obligations, needs neither the frame nor the product:
-:func:`expansion_view` images through ``M``'s own partitions over Σ*,
-renaming only ``M``'s atoms (the others keep their values) and adding the
-stutter step as ``∨ Q``.  :func:`symbolic_expand` materialises the same
-relation; it is the reference the view is tested against.
+where ``frame(V) = ⋀_{v∈V} (v ↔ v')``, is :func:`composite_view`: one
+group per component over Σ*, imaged as ``Q ∨ ⋁_i pre_i(Q)`` where
+``pre_i`` renames only component ``i``'s atoms (the others keep their
+values).  Neither the frames nor the product are built to take an image;
+``transition`` materialises ``R*`` only when asked for, and is the
+reference the view is tested against.  A component's expansion
+``M ∘ (Σ*∖Σ_M, I)``, where the paper's Lemma 5 discharges obligations,
+is the one-component view with the extra atoms.
 """
 
 from __future__ import annotations
@@ -59,19 +59,21 @@ class SymbolicSystem:
         The relation as one BDD over current+next variables; must be
         total to be a valid paper-system (use :meth:`set_transition` to
         stutter-close).  Assigning it installs a new relation and drops
-        the old one's :attr:`partitions`.  An expansion view builds it
-        only when asked for.
-    partitions:
-        Optional conjunctive partition of the relation, one BDD per state
-        variable with disjoint next-state supports (set by the SMV
-        compiler); ``None`` makes ``transition`` the single partition.
-        Replace the list rather than mutate it.
+        the old one's :attr:`groups`.  A composite view builds it only
+        when asked for.
+    groups:
+        The relation's partition groups, one ``(moved, partitions)`` per
+        component: ``partitions`` is a conjunctive partition of that
+        component's step, one BDD per state variable with disjoint
+        next-state supports; ``moved`` the atoms the step may change
+        (the rest keep their values).  The relation is the groups'
+        disjunction.  The SMV compiler sets one group moving Σ;
+        ``[]`` makes ``transition`` the single partition.  Replace the
+        list rather than mutate it.
     stutter:
-        True when the relation is ``⋀ partitions ∨ Id`` — the partitions
-        need not contain the stutter step, and every image adds it.
-    component:
-        For an expansion view (:func:`expansion_view`), the system it
-        expands; ``None`` otherwise.
+        True when the relation is that disjunction ``∨ Id`` — the
+        partitions need not contain the stutter step, and every image
+        adds it.
     """
 
     def __init__(self, atoms: Iterable[str], bdd: BDD | None = None):
@@ -90,11 +92,12 @@ class SymbolicSystem:
             if a not in bdd.var_names or primed(a) not in bdd.var_names:
                 raise SystemError_(f"manager lacks variables for atom {a!r}")
         self._transition: int | None = None
-        self.partitions: list[int] | None = None
+        self.groups: list[tuple[frozenset[str], list[int]]] = []
         self.stutter: bool = False
-        self.component: SymbolicSystem | None = None
-        #: ``(partitions, data)`` for the relation whose cone data
-        #: (:meth:`_cone_data`) was last derived.
+        #: A composite view's :meth:`node_count`: its components' own.
+        self._view_nodes: int | None = None
+        #: ``(groups or transition, data)`` for the relation whose cone
+        #: data (:meth:`_cone_data`) was last derived.
         self._cone: tuple | None = None
         #: ``(transition, Id ⊆ transition)`` for the last relation
         #: :meth:`is_reflexive` decided (node ids never change meaning).
@@ -105,14 +108,15 @@ class SymbolicSystem:
     @property
     def transition(self) -> int:
         if self._transition is None:
-            # built on first use: Id for a fresh system, (⋀ P ∧ frame) ∨ Id
-            # for an expansion view, framing the atoms its component lacks
+            # built on first use, only by a fresh system (Id) and a
+            # composite view: R* = ⋁_i (⋀ P_i ∧ frame(Σ∖moved_i)) ∨ Id —
+            # the one place the product relation is ever built
             bdd = self.bdd
-            t = self.identity_relation()
-            if self.component is not None:
-                extra = set(self.atoms) - set(self.component.atoms)
-                relation = bdd.conj([*self.partitions, self.frame(extra)])
-                t = bdd.apply("or", relation, t)
+            t = bdd.disj(
+                bdd.conj([*parts, self.frame(set(self.atoms) - moved)])
+                for moved, parts in self.groups
+            )
+            t = bdd.apply("or", t, self.identity_relation())
             self._transition = t
             bdd.add_reorder_root(t)
         return self._transition
@@ -120,9 +124,19 @@ class SymbolicSystem:
     @transition.setter
     def transition(self, t: int) -> None:
         self._transition = t
-        self.partitions = None
+        self.groups = []
         self.stutter = False
-        self.component = None
+        self._view_nodes = None
+
+    @property
+    def partitions(self) -> list[int] | None:
+        """The conjunctive partition of a one-group system (the SMV
+        compiler's); ``None`` without groups or with several."""
+        return self.groups[0][1] if len(self.groups) == 1 else None
+
+    def relation_groups(self) -> list[tuple[frozenset[str], list[int]]]:
+        """:attr:`groups`, or ``transition`` as one group moving Σ."""
+        return self.groups or [(frozenset(self.atoms), [self.transition])]
 
     # ------------------------------------------------------------------
     # relation builders
@@ -167,8 +181,9 @@ class SymbolicSystem:
         bdd = self.bdd
         if self._transition is not None:
             bdd.add_reorder_root(self._transition)
-        for p in self.partitions or ():
-            bdd.add_reorder_root(p)
+        for _, parts in self.groups:
+            for p in parts:
+                bdd.add_reorder_root(p)
         return bdd.reorder(method, **kwargs)
 
     def state_cube(self, state: frozenset, next_state: bool = False) -> int:
@@ -224,21 +239,26 @@ class SymbolicSystem:
     def pre_image(self, s: int) -> int:
         """``EX S``: states with an R-successor in ``S`` (S over current vars).
 
-        With ``S'`` the target renamed to next-state variables, this is
-        ``∃x'. ⋀_v P_v ∧ S'`` (``∨ S`` when the system stutters), taken
+        This is ``⋁_i pre_i(S)`` over the partition groups (``∨ S`` when
+        the system stutters), each ``pre_i(S) = ∃x'_i. ⋀_v P_v ∧ S'``
+        with ``S'`` the target renamed to next-state variables, taken
         over ``S``'s cone of influence only:
 
-        * only the moved atoms in ``S``'s support are renamed — an
-          expansion view's other atoms keep their values, so they stay
-          current variables and are never quantified;
+        * only the group's moved atoms in ``S``'s support are renamed —
+          its other atoms keep their values, so they stay current
+          variables and are never quantified; with the stutter step, a
+          group that moves none of them images inside ``S`` and is
+          skipped;
         * a partition whose next bits meet that support takes one
           relational product, quantifying its own next bits there (next
-          supports are disjoint, so no later partition mentions them);
+          supports within a group are disjoint, so no later partition
+          mentions them);
         * any other partition drops out as ``∃v'. P_v``, which is TRUE
           for a total partition and conjoined otherwise — totality is a
           checked fact of the partition BDDs, never an assumption;
-        * a moved atom in the support that no partition constrains may
-          take either next value, so it is quantified out of ``S``.
+        * a moved atom in the support that no partition of the group
+          constrains may take either next value, so it is quantified out
+          of ``S``.
         """
         if TRACER.enabled:
             with TRACER.span("image.pre", category="image"):
@@ -247,54 +267,63 @@ class SymbolicSystem:
 
     def _pre_image(self, s: int) -> int:
         bdd = self.bdd
-        moved, owner, steps, masks = self._cone_data()
-        support = bdd.support(s) & moved
-        free = [a for a in support if a not in owner]
-        acc = bdd.exists(free, s) if free else s
-        cone = {owner[a] for a in support if a in owner}
-        if cone:
-            acc = bdd.rename(
-                acc, {a: primed(a) for a in support if a in owner}
-            )
-            for i in sorted(cone):
-                acc = bdd.and_exists(acc, *steps[i])
-        for i, (partition, names) in enumerate(steps):
-            if i in cone:
+        support = bdd.support(s)
+        image = s if self.stutter else FALSE
+        for moved, owner, steps, masks in self._cone_data():
+            local = support & moved
+            if self.stutter and not local:
                 continue
-            if masks[i] is None:
-                masks[i] = bdd.exists(names, partition)
-            if masks[i] != TRUE:
-                acc = bdd.apply("and", acc, masks[i])
-        if self.stutter:
-            acc = bdd.apply("or", acc, s)
-        return acc
+            free = [a for a in local if a not in owner]
+            acc = bdd.exists(free, s) if free else s
+            cone = {owner[a] for a in local if a in owner}
+            if cone:
+                acc = bdd.rename(
+                    acc, {a: primed(a) for a in local if a in owner}
+                )
+                for i in sorted(cone):
+                    acc = bdd.and_exists(acc, *steps[i])
+            for i, (partition, names) in enumerate(steps):
+                if i in cone:
+                    continue
+                if masks[i] is None:
+                    masks[i] = bdd.exists(names, partition)
+                if masks[i] != TRUE:
+                    acc = bdd.apply("and", acc, masks[i])
+            image = bdd.apply("or", image, acc)
+        return image
 
     def clear_caches(self) -> None:
         """Forget the image data derived from the relation: the next
         image re-derives it, doing (and counting) a fresh system's work."""
         self._cone = None
 
-    def _cone_data(self) -> tuple:
-        """``(moved, owner, steps, masks)`` for the installed relation.
+    def _cone_data(self) -> list[tuple]:
+        """``(moved, owner, steps, masks)`` per group of the installed
+        relation.
 
-        ``moved`` are the atoms the relation may change (an expansion
-        view's component atoms, else Σ); ``owner`` maps each moved atom
-        some partition constrains to that partition's index; ``steps[i]``
-        is partition ``i`` with its next-state variables; ``masks[i]`` is
-        ``∃v'. P_i``, filled in the first time partition ``i`` is skipped
-        (a monolithic relation rarely is, and its mask is costly).  All of
-        it is read off the partition BDDs — nothing comes from the model
-        that produced them — and derived once per relation; a lone
-        partition owns every moved atom.
+        ``moved`` are the atoms the group's step may change; ``owner``
+        maps each moved atom some partition constrains to that
+        partition's index; ``steps[i]`` is partition ``i`` with its
+        next-state variables; ``masks[i]`` is ``∃v'. P_i``, filled in the
+        first time partition ``i`` is skipped (a monolithic relation
+        rarely is, and its mask is costly).  All of it is read off the
+        partition BDDs — nothing comes from the model that produced
+        them — and derived once per relation; a lone partition owns
+        every moved atom of its group.
         """
-        parts = self.partitions or [self.transition]
+        key = self.groups or self.transition
         cached = self._cone
-        if cached is not None and cached[0] == parts:
+        if cached is not None and cached[0] == key:
             return cached[1]
+        data = [
+            self._group_cone(moved, parts)
+            for moved, parts in self.relation_groups()
+        ]
+        self._cone = (key, data)
+        return data
+
+    def _group_cone(self, moved: frozenset[str], parts: list[int]) -> tuple:
         bdd = self.bdd
-        moved = frozenset(
-            self.component.atoms if self.component is not None else self.atoms
-        )
         owner: dict[str, int] = {}
         steps: list[tuple[int, list[str]]] = []
         # a lone partition takes every next bit; walking a monolithic
@@ -314,10 +343,7 @@ class SymbolicSystem:
                     )
                 owner[a] = i
             steps.append((partition, [primed(a) for a in bits]))
-        masks: list[int | None] = [None] * len(steps)
-        data = (moved, owner, steps, masks)
-        self._cone = (list(parts), data)
-        return data
+        return moved, owner, steps, [None] * len(steps)
 
     def post_image(self, s: int) -> int:
         """States reachable from ``S`` in one R-step."""
@@ -341,77 +367,46 @@ class SymbolicSystem:
         """BDD nodes representing the transition relation (SMV metric),
         counted once per relation and variable order.
 
-        An expansion view reports its component's own relation: the
-        frame and product it never builds are no part of its checks.
+        A composite view reports the sum of its components' own counts:
+        the frames and product it never builds are no part of its checks.
         """
-        if self.component is not None:
-            return self.component.node_count()
+        if self._view_nodes is not None:
+            return self._view_nodes
         key = (self.transition, self.bdd.stats.reorders)
         if self._nodes is None or self._nodes[0] != key:
             self._nodes = (key, self.bdd.node_count(self.transition))
         return self._nodes[1]
 
 
-def symbolic_compose(m1: SymbolicSystem, m2: SymbolicSystem) -> SymbolicSystem:
-    """Interleaving composition at the BDD level (paper §3.1).
+def composite_view(
+    components: Sequence[SymbolicSystem], extra_atoms: Iterable[str] = ()
+) -> SymbolicSystem:
+    """The interleaving composite ``M_1 ∘ … ∘ M_k ∘ (Σ', I)`` (paper
+    §3.1) as a view over ``Σ* = ⋃ Σ_i ∪ Σ'``.
 
-    The operands may live in different managers; their relations are
-    transferred into a fresh manager over the union alphabet.
+    The view's manager holds each component's partition groups (its
+    relation, when it has none), moved in as they are, and nothing else:
+    no frame and no product relation.  Its relation ``R*`` — the
+    components' steps each framed by the atoms they lack, ``∨ Id`` — has
+    the pre-image ``Q ∨ ⋁_i ∃x'_i. R_i ∧ Q[x_i := x'_i]``, which
+    :meth:`SymbolicSystem.pre_image` computes from the groups alone.
+    ``transition`` materialises ``R*`` only if asked for; ``node_count``
+    reports the sum of the components' own.  A component's expansion,
+    where proof obligations run, is ``composite_view([m], extra)``.
     """
-    out = SymbolicSystem(set(m1.atoms) | set(m2.atoms))
-    t1 = transfer(m1.transition, m1.bdd, out.bdd)
-    t2 = transfer(m2.transition, m2.bdd, out.bdd)
-    frame1 = out.frame(set(out.atoms) - set(m1.atoms))
-    frame2 = out.frame(set(out.atoms) - set(m2.atoms))
-    lifted1 = out.bdd.apply("and", t1, frame1)
-    lifted2 = out.bdd.apply("and", t2, frame2)
-    t = out.bdd.apply("or", lifted1, lifted2)
-    t = out.bdd.apply("or", t, out.identity_relation())
-    out.transition = t
-    out.bdd.add_reorder_root(t)
-    if out.bdd.reorder_mode == "sift":
-        out.reorder()
-    return out
-
-
-def symbolic_compose_all(systems: Sequence[SymbolicSystem]) -> SymbolicSystem:
-    """Fold :func:`symbolic_compose` over several systems."""
-    if not systems:
-        raise SystemError_("symbolic_compose_all needs at least one system")
-    acc = systems[0]
-    for m in systems[1:]:
-        acc = symbolic_compose(acc, m)
-    return acc
-
-
-def symbolic_expand(m: SymbolicSystem, extra_atoms: Iterable[str]) -> SymbolicSystem:
-    """Expansion ``m ∘ (Σ', I)`` at the BDD level, materialised: frame,
-    product and stutter closure over the union alphabet.  Proof
-    obligations use :func:`expansion_view`; this is its reference."""
-    identity = SymbolicSystem(extra_atoms)
-    return symbolic_compose(m, identity)
-
-
-def expansion_view(m: SymbolicSystem, extra_atoms: Iterable[str]) -> SymbolicSystem:
-    """Expansion ``m ∘ (Σ', I)`` as a view over ``Σ_m ∪ Σ'``.
-
-    The view's manager holds ``m``'s partitions (or its relation, when it
-    has none) and nothing else: no frame on ``Σ'`` and no product
-    relation.  Its relation ``(R_m ∧ Id_{Σ'}) ∨ Id`` — the relation
-    :func:`symbolic_expand` builds — has the pre-image
-    ``Q ∨ ∃x'_m. R_m ∧ Q[x_m := x'_m]``, which :meth:`SymbolicSystem.pre_image`
-    computes from the partitions alone (``stutter`` set, ``component``
-    naming the atoms it renames).  ``transition`` materialises the
-    expansion relation only if asked for; ``node_count`` reports ``m``'s.
-    """
-    view = SymbolicSystem(set(m.atoms) | set(extra_atoms))
-    memo: dict[int, int] = {}
-    partitions = [
-        transfer(p, m.bdd, view.bdd, memo) for p in m.partitions or [m.transition]
-    ]
-    view.partitions = partitions
+    if not components:
+        raise SystemError_("composite_view needs at least one system")
+    view = SymbolicSystem(set(extra_atoms).union(*(m.atoms for m in components)))
+    groups = []
+    for m in components:
+        memo: dict[int, int] = {}
+        groups += [
+            (moved, [transfer(p, m.bdd, view.bdd, memo) for p in parts])
+            for moved, parts in m.relation_groups()
+        ]
+    view.groups = groups
     view.stutter = True
-    view.component = m
+    view._view_nodes = sum(m.node_count() for m in components)
     if view.bdd.reorder_mode == "sift":
         view.reorder()
     return view

@@ -29,7 +29,7 @@ from repro.casestudies.figures import (
 from repro.checking.explicit import ExplicitChecker
 from repro.checking.symbolic import SymbolicChecker
 from repro.logic.ctl import EG, EU, Atom, Not, Or, TRUE as F_TRUE
-from repro.systems.symbolic import SymbolicSystem, symbolic_compose
+from repro.systems.symbolic import SymbolicSystem, composite_view
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +74,7 @@ def state_sets(sym: SymbolicSystem) -> list[int]:
 def systems() -> list[tuple[str, SymbolicSystem]]:
     fig1 = SymbolicSystem.from_explicit(figure1_m())
     fig1p = SymbolicSystem.from_explicit(figure1_m_prime())
-    composed = symbolic_compose(fig1, fig1p)
+    composed = composite_view([fig1, fig1p])
     fig2 = SymbolicSystem.from_explicit(figure2_system())
     server = SERVER.symbolic(reflexive=True)
     client = CLIENT.symbolic(reflexive=True)

@@ -15,7 +15,7 @@ from repro.compositional.proof import CompositionProof
 from repro.logic.ctl import AG, Implies, Not, Or, land
 from repro.logic.restriction import Restriction
 from repro.systems.compose import compose
-from repro.systems.symbolic import SymbolicSystem, symbolic_compose
+from repro.systems.symbolic import SymbolicSystem, composite_view
 
 PRODUCER = """
 MODULE main
@@ -49,8 +49,8 @@ class TestCrossBackend:
         explicit = compose(
             components["producer"].system(), components["consumer"].system()
         )
-        symbolic = symbolic_compose(
-            components["producer"].symbolic(), components["consumer"].symbolic()
+        symbolic = composite_view(
+            [components["producer"].symbolic(), components["consumer"].symbolic()]
         )
         assert symbolic.to_explicit() == explicit
 

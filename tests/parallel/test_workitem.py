@@ -72,12 +72,12 @@ class TestSpecDerivation:
         assert set(rebuilt.to_explicit().edges) == set(bare.to_explicit().edges)
 
     def test_expansion_view_ships_its_materialised_relation(self):
-        # a view's partitions image only with its component, which no
+        # a view's groups move only their component's atoms, which no
         # snapshot carries: the rebuilt system images through the relation
-        from repro.systems.symbolic import expansion_view
+        from repro.systems.symbolic import composite_view
 
-        view = expansion_view(
-            SymbolicSystem.from_explicit(TokenRing(2).process(0)), {"other"}
+        view = composite_view(
+            [SymbolicSystem.from_explicit(TokenRing(2).process(0))], {"other"}
         )
         rebuilt = build_system(spec_of_component(view), "symbolic")
         assert rebuilt.partitions is None

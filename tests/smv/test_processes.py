@@ -78,6 +78,16 @@ class TestChecking:
         assert report.all_true
         assert len(report.results) == 2
 
+    def test_transition_nodes_are_the_components_own(self):
+        """The composite view builds no product relation: it reports the
+        sum of its components' own relation sizes."""
+        report = check_processes(PING_PONG)
+        components = load_processes(PING_PONG).symbolic_systems().values()
+        assert report.transition_nodes == sum(
+            m.node_count() for m in components
+        )
+        assert report.results[0].stats.transition_nodes == report.transition_nodes
+
     def test_explicit_backend_agrees(self):
         symbolic = check_processes(PING_PONG, backend="symbolic")
         explicit = check_processes(PING_PONG, backend="explicit")

@@ -3,7 +3,9 @@
 Random modules (enum/boolean variables, random guarded case assignments
 with set-literal nondeterminism, some free variables) are pushed through
 both compilation backends and the simulator; all three views of the
-semantics must coincide.
+semantics must coincide.  Composites of 2–3 random modules sharing
+variables check the symbolic composite view against its materialised
+relation and against the explicit composition.
 """
 
 import random
@@ -12,6 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.bdd.formula import prop_to_bdd
 from repro.bdd.manager import TRUE
 from repro.bdd.ops import transfer
 
@@ -31,34 +34,36 @@ from repro.smv.compile_explicit import to_system
 from repro.smv.compile_symbolic import to_symbolic
 from repro.smv.elaborate import SmvModel
 from repro.smv.simulate import simulate
-from repro.systems.symbolic import (
-    SymbolicSystem,
-    expansion_view,
-    primed,
-    symbolic_expand,
-)
+from repro.systems.compose import compose_all
+from repro.systems.symbolic import SymbolicSystem, composite_view, primed
 
 _DOMAINS = {
     "v0": ("a", "b"),
     "v1": ("p", "q", "r"),
     "v2": "boolean",
+    "v3": ("c", "d"),
+    "v4": ("s", "t", "u"),
+    "v5": "boolean",
 }
+
+#: A module's variables: a two-value enum, a three-value enum, a boolean.
+NAMES = ("v0", "v1", "v2")
 
 
 @st.composite
-def conditions(draw):
-    """A random boolean guard over the fixed variable pool."""
+def conditions(draw, names=NAMES):
+    """A random boolean guard over the module's variables."""
     kind = draw(st.integers(0, 3))
     if kind == 0:
-        var = draw(st.sampled_from(["v0", "v1"]))
+        var = draw(st.sampled_from(names[:2]))
         dom = _DOMAINS[var]
         return BinOp("=", Name(var), Name(draw(st.sampled_from(dom))))
     if kind == 1:
-        return Name("v2")
+        return Name(names[2])
     if kind == 2:
-        return UnaryOp("!", draw(conditions()))
+        return UnaryOp("!", draw(conditions(names)))
     op = draw(st.sampled_from(["&", "|"]))
-    return BinOp(op, draw(conditions()), draw(conditions()))
+    return BinOp(op, draw(conditions(names)), draw(conditions(names)))
 
 
 @st.composite
@@ -80,22 +85,18 @@ def value_exprs(draw, var: str):
 
 
 @st.composite
-def modules(draw, fallthrough=False):
-    """A random module; with ``fallthrough`` a ``case`` may lack its
-    default branch (only a reflexive compile accepts that)."""
-    decls = [
-        VarDecl("v0", _DOMAINS["v0"]),
-        VarDecl("v1", _DOMAINS["v1"]),
-        VarDecl("v2", "boolean"),
-    ]
+def modules(draw, fallthrough=False, names=NAMES):
+    """A random module over ``names``; with ``fallthrough`` a ``case``
+    may lack its default branch (only a reflexive compile accepts that)."""
+    decls = [VarDecl(name, _DOMAINS[name]) for name in names]
     assigns = []
-    for name in ("v0", "v1", "v2"):
+    for name in names:
         if draw(st.booleans()):
             continue  # leave the variable free
         branches = []
         for _ in range(draw(st.integers(0, 2))):
             branches.append(
-                (draw(conditions()), draw(value_exprs(name)))
+                (draw(conditions(names)), draw(value_exprs(name)))
             )
         if not (fallthrough and branches and draw(st.booleans())):
             branches.append((IntLit(1), draw(value_exprs(name))))  # default
@@ -179,15 +180,13 @@ FALLS_THROUGH = Module(
 _EXTRA = ("aux", "zz")
 
 
-def assert_view_exact(m, extra, targets_of):
-    """The expansion view's pre-images are node-equal to the relational
-    product over :func:`symbolic_expand`'s materialised relation, moved
-    into the view's manager, for every target ``targets_of(view)`` builds
-    and its negation."""
-    view = expansion_view(m, extra)
+def assert_view_exact(components, extra, targets_of):
+    """The composite view's pre-images are node-equal to the relational
+    product over its materialised relation ``transition``, for every
+    target ``targets_of(view)`` builds and its negation."""
+    view = composite_view(components, extra)
     bdd = view.bdd
-    expanded = symbolic_expand(m, extra)
-    relation = transfer(expanded.transition, expanded.bdd, bdd)
+    relation = view.transition
     targets = list(targets_of(view))
     targets += [bdd.negate(t) for t in targets]
     for target in targets:
@@ -233,7 +232,7 @@ def test_expansion_view_matches_materialised_expansion(data, n_extra, conjunctio
     reflexive = data.draw(st.booleans())
     module = data.draw(modules(fallthrough=reflexive))
     m = to_symbolic(SmvModel(module), reflexive=reflexive)
-    assert_view_exact(m, _EXTRA[:n_extra], shaped_targets(conjunctions))
+    assert_view_exact([m], _EXTRA[:n_extra], shaped_targets(conjunctions))
 
 
 @pytest.mark.parametrize("n_extra", [0, 1, 2])
@@ -242,34 +241,112 @@ def test_expansion_view_exact_on_fall_through_module(n_extra):
     # the x partition is not total: skipping it takes its ∃x'. P_x mask
     assert m.bdd.exists(["x'"], m.partitions[0]) != TRUE
     assert_view_exact(
-        m, _EXTRA[:n_extra], shaped_targets([[(0, True)], [(1, False)]])
+        [m], _EXTRA[:n_extra], shaped_targets([[(0, True)], [(1, False)]])
     )
+
+
+def _conjuncts(f):
+    from repro.logic.ctl import And
+
+    if isinstance(f, And):
+        yield from _conjuncts(f.left)
+        yield from _conjuncts(f.right)
+    else:
+        yield f
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_expansion_view_exact_on_afs2(n):
     """Every AFS-2 component's view against the proof's invariant, its
     negation, and each conjunct and its negation."""
-    from repro.bdd.formula import prop_to_bdd
     from repro.casestudies.afs2 import Afs2
-    from repro.logic.ctl import And
 
     study = Afs2(n)
     inv = study.invariant()
-    formulas, stack = [inv], [inv]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, And):
-            stack += [f.left, f.right]
-        else:
-            formulas.append(f)
+    formulas = [inv, *_conjuncts(inv)]
     pf = study.proof()
     for m in pf.components.values():
         assert_view_exact(
-            m,
+            [m],
             pf.sigma_star - set(m.atoms),
             lambda view: [prop_to_bdd(view.bdd, f) for f in formulas],
         )
+
+
+#: Each component draws its variables from these pairs, so two
+#: components share none, some or all of them.
+_POOLS = (("v0", "v3"), ("v1", "v4"), ("v2", "v5"))
+
+
+@st.composite
+def protocols(draw, sizes=(2, 3), fallthrough=True):
+    """2–3 random modules whose variables overlap, compiled with one
+    ``reflexive`` flag: ``(models, reflexive)``.  With ``fallthrough``, a
+    reflexive protocol's ``case`` may lack its default branch."""
+    reflexive = draw(st.booleans())
+    count = draw(st.sampled_from(sizes))
+    models = []
+    for _ in range(count):
+        names = tuple(draw(st.sampled_from(pool)) for pool in _POOLS)
+        module = draw(modules(fallthrough=fallthrough and reflexive, names=names))
+        models.append(SmvModel(module))
+    return models, reflexive
+
+
+@given(
+    protocols(),
+    st.integers(0, 1),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 9), st.booleans()), min_size=1, max_size=3),
+        max_size=2,
+    ),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_composite_view_matches_materialised_relation(protocol, n_extra, conjunctions):
+    models, reflexive = protocol
+    components = [to_symbolic(m, reflexive=reflexive) for m in models]
+    assert_view_exact(components, _EXTRA[:n_extra], shaped_targets(conjunctions))
+
+
+@given(protocols(sizes=(2,), fallthrough=False))
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_composite_view_agrees_with_explicit_compose(protocol):
+    """State-set equality with the explicit ``∘`` (the semantics), on the
+    valid states the two compilers agree on: every pre-image of a
+    literal, its negation and an xor chain.  (The explicit compiler
+    rejects a ``case`` without its default branch.)"""
+    models, reflexive = protocol
+    view = composite_view([to_symbolic(m, reflexive=reflexive) for m in models])
+    oracle = SymbolicSystem.from_explicit(
+        compose_all([to_system(m, reflexive=reflexive) for m in models])
+    )
+    assert oracle.atoms == view.atoms
+    bdd = oracle.bdd
+    valid = bdd.conj(prop_to_bdd(bdd, m.valid_formula()) for m in models)
+    for target in shaped_targets()(view):
+        for t in (target, view.bdd.negate(target)):
+            image = transfer(view.pre_image(t), view.bdd, bdd)
+            expected = oracle.pre_image(transfer(t, view.bdd, bdd))
+            assert bdd.apply("and", image, valid) == bdd.apply(
+                "and", expected, valid
+            ), "view differs from explicit compose"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_composite_view_exact_on_afs2(n):
+    """The whole AFS-2 composite — server and clients sharing their
+    channels — against the invariant, each conjunct and their negations."""
+    from repro.casestudies.afs2 import Afs2
+
+    study = Afs2(n)
+    inv = study.invariant()
+    formulas = [inv, *_conjuncts(inv)]
+    pf = study.proof()
+    assert_view_exact(
+        list(pf.components.values()),
+        (),
+        lambda view: [prop_to_bdd(view.bdd, f) for f in formulas],
+    )
 
 
 @given(modules())
@@ -307,8 +384,10 @@ def test_mutant_skip_without_totality_mask_is_killed(monkeypatch):
     original = SymbolicSystem._cone_data
 
     def every_partition_total(self):
-        moved, owner, steps, _ = original(self)
-        return moved, owner, steps, [TRUE] * len(steps)
+        return [
+            (moved, owner, steps, [TRUE] * len(steps))
+            for moved, owner, steps, _ in original(self)
+        ]
 
     monkeypatch.setattr(SymbolicSystem, "_cone_data", every_partition_total)
     with pytest.raises(AssertionError, match="view pre-image differs"):
@@ -329,3 +408,75 @@ def test_mutant_without_stutter_disjunct_is_killed(monkeypatch):
         test_expansion_view_exact_on_fall_through_module(1)
     with pytest.raises(AssertionError, match="EX TRUE fails"):
         assert_fall_through_verdicts()
+
+
+def _kills_composite_mutant(afs2=True):
+    """The checks a composite mutant must fail: a fixed three-module
+    protocol and (with ``afs2``) the AFS-2 composite, both against the
+    materialised relation."""
+    if afs2:
+        with pytest.raises(AssertionError, match="view pre-image differs"):
+            test_composite_view_exact_on_afs2(2)
+    with pytest.raises(AssertionError, match="view pre-image differs"):
+        test_composite_view_exact_on_sharing_protocol()
+
+
+#: Three modules over overlapping alphabets: each flips its own boolean
+#: and copies the shared enum ``v0`` from its neighbour's state.
+SHARING = [
+    Module(
+        name="main",
+        variables=[VarDecl("v0", _DOMAINS["v0"]), VarDecl(flag, "boolean")],
+        assigns=[
+            Assign("next", flag, Case(((IntLit(1), UnaryOp("!", Name(flag))),))),
+            Assign(
+                "next",
+                "v0",
+                Case(((Name(flag), Name(value)), (IntLit(1), Name("v0")))),
+            ),
+        ],
+    )
+    for flag, value in (("v2", "a"), ("v5", "b"), ("go", "a"))
+]
+
+
+def test_composite_view_exact_on_sharing_protocol():
+    components = [to_symbolic(SmvModel(m), reflexive=True) for m in SHARING]
+    assert_view_exact(components, (), shaped_targets([[(0, True), (3, False)]]))
+
+
+def test_mutant_drop_one_component_disjunct_is_killed(monkeypatch):
+    original = SymbolicSystem._cone_data
+
+    def without_last_group(self):
+        data = original(self)
+        return data[:-1] if len(data) > 1 else data
+
+    monkeypatch.setattr(SymbolicSystem, "_cone_data", without_last_group)
+    _kills_composite_mutant()
+
+
+def test_mutant_without_stutter_disjunct_on_composite_is_killed(monkeypatch):
+    monkeypatch.setattr(
+        SymbolicSystem,
+        "stutter",
+        property(lambda self: False, lambda self, value: None),
+        raising=False,
+    )
+    # AFS-2's components may idle in their own steps, which hides a
+    # missing stutter disjunct; the protocol's flags flip every step
+    _kills_composite_mutant(afs2=False)
+
+
+def test_mutant_rename_all_of_sigma_star_is_killed(monkeypatch):
+    original = SymbolicSystem._cone_data
+
+    def every_atom_moved(self):
+        everything = frozenset(self.atoms)
+        return [
+            (everything, owner, steps, masks)
+            for _, owner, steps, masks in original(self)
+        ]
+
+    monkeypatch.setattr(SymbolicSystem, "_cone_data", every_atom_moved)
+    _kills_composite_mutant()

@@ -6,7 +6,8 @@ whose formula or restriction text belongs to another check — at every
 replay site: the sequential proof engine, the pool's ``run_cached`` and
 ``cached_check``.  Each site must treat it as a miss: the verdict comes
 from the checker, the ledger says ``cached: False``, and the record is
-rewritten for the check in hand.
+rewritten for the check in hand.  The store's own counters agree: such a
+record counts under ``store.misses``, never ``store.hits``.
 """
 
 import pytest
@@ -108,3 +109,51 @@ def test_cached_check_replays_mismatched_record_as_miss(tmp_path, how):
     assert rewritten["holds"] is True
 
     assert cached_check(SOURCE, store=store).cached_flags == [True]
+
+
+def _counters(store, kind):
+    names = [
+        f"store.{event}{suffix}"
+        for event in ("hits", "misses")
+        for suffix in ("", f".{kind}")
+    ]
+    return {name: store.metrics.get(name) for name in names}
+
+
+def _delta(before, after):
+    return {name: after[name] - before[name] for name in before}
+
+
+@pytest.mark.parametrize("jobs", [None, 2], ids=["sequential", "pool"])
+def test_mismatched_obligation_record_counts_as_a_store_miss(tmp_path, jobs):
+    store = ResultStore(tmp_path)
+    pf = CompositionProof(_components(), parallel=jobs, store=store)
+    pf.universal(STEP)
+    fingerprint = pf.cache_ledger()["obligations"][0]["fingerprint"]
+    _plant(store, fingerprint, "obligation", "formula")
+
+    before = _counters(store, "obligation")
+    CompositionProof(_components(), parallel=jobs, store=store).universal(STEP)
+    assert _delta(before, _counters(store, "obligation")) == {
+        "store.hits": 0,
+        "store.hits.obligation": 0,
+        "store.misses": 1,
+        "store.misses.obligation": 1,
+    }
+
+    # the rewritten record replays, and counts as the hit it is
+    before = _counters(store, "obligation")
+    CompositionProof(_components(), parallel=jobs, store=store).universal(STEP)
+    assert _delta(before, _counters(store, "obligation"))["store.hits"] == 1
+
+
+def test_mismatched_spec_record_counts_as_a_store_miss(tmp_path):
+    store = ResultStore(tmp_path)
+    (fingerprint,) = cached_check(SOURCE, store=store).fingerprints
+    _plant(store, fingerprint, "spec", "init")
+
+    before = _counters(store, "spec")
+    run = cached_check(SOURCE, store=store)
+    assert run.cached_flags == [False]
+    delta = _delta(before, _counters(store, "spec"))
+    assert delta["store.hits.spec"] == 0 and delta["store.misses.spec"] == 1

@@ -152,9 +152,11 @@ class TestPartitionedPreImage:
     def test_overlapping_next_supports_raise(self):
         plain = SymbolicSystem({"a", "b"})
         bdd = plain.bdd
-        plain.partitions = [
-            bdd.var("a'"),
-            bdd.apply("and", bdd.var("a'"), bdd.var("b'")),
+        plain.groups = [
+            (
+                frozenset(plain.atoms),
+                [bdd.var("a'"), bdd.apply("and", bdd.var("a'"), bdd.var("b'"))],
+            )
         ]
         with pytest.raises(SystemError_, match="disjoint"):
             plain.pre_image(bdd.var("a"))

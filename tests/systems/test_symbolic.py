@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from tests.conftest import systems
 from repro.bdd.manager import FALSE, TRUE
 from repro.systems.compose import compose, expand
-from repro.systems.symbolic import (
-    SymbolicSystem,
-    primed,
-    symbolic_compose,
-    symbolic_compose_all,
-    symbolic_expand,
-)
+from repro.systems.symbolic import SymbolicSystem, composite_view, primed
 from repro.systems.system import System
 
 E = frozenset()
@@ -81,21 +75,21 @@ class TestSymbolicComposition:
     @settings(max_examples=40, deadline=None)
     def test_matches_explicit_composition(self, m1, m2):
         explicit = compose(m1, m2)
-        symbolic = symbolic_compose(
-            SymbolicSystem.from_explicit(m1), SymbolicSystem.from_explicit(m2)
+        symbolic = composite_view(
+            [SymbolicSystem.from_explicit(m1), SymbolicSystem.from_explicit(m2)]
         )
         assert symbolic.to_explicit() == explicit
 
     @given(systems(atoms=("a", "b"), max_atoms=2))
     @settings(max_examples=30, deadline=None)
     def test_expand_matches_explicit(self, m):
-        assert symbolic_expand(
-            SymbolicSystem.from_explicit(m), {"z"}
+        assert composite_view(
+            [SymbolicSystem.from_explicit(m)], {"z"}
         ).to_explicit() == expand(m, {"z"})
 
     def test_compose_all(self):
         ms = [System({"a"}, [(E, frozenset({"a"}))]), System({"b"}), System({"c"})]
-        got = symbolic_compose_all([SymbolicSystem.from_explicit(m) for m in ms])
+        got = composite_view([SymbolicSystem.from_explicit(m) for m in ms])
         from repro.systems.compose import compose_all
 
         assert got.to_explicit() == compose_all(ms)
@@ -104,7 +98,7 @@ class TestSymbolicComposition:
         from repro.errors import SystemError_
 
         with pytest.raises(SystemError_):
-            symbolic_compose_all([])
+            composite_view([])
 
 
 def test_primed_naming():

@@ -77,12 +77,12 @@ class TestExpansionLemmaAcrossEngines:
     @settings(max_examples=40, deadline=None)
     def test_lemma5_holds_symbolically_too(self, system, f):
         from repro.checking.symbolic import SymbolicChecker
-        from repro.systems.symbolic import symbolic_expand
+        from repro.systems.symbolic import composite_view
 
         f = substitute(f, {x: Const(True) for x in f.atoms() - system.sigma})
         base = SymbolicChecker(SymbolicSystem.from_explicit(system))
         expanded = SymbolicChecker(
-            symbolic_expand(SymbolicSystem.from_explicit(system), {"z"})
+            composite_view([SymbolicSystem.from_explicit(system)], {"z"})
         )
         assert bool(base.holds(f)) == bool(expanded.holds(f))
 
