@@ -15,6 +15,11 @@ class CheckStats:
 
     Mirrors the ``resources used:`` block SMV prints in the paper's output
     figures, extended with the engine's op-level counters.
+    ``transition_nodes`` counts the relation the checker holds
+    (:meth:`~repro.systems.symbolic.SymbolicSystem.node_count`): the
+    sum of its partitions' node counts for a compiled system or a
+    composite view, which never build the product, as NuSMV reports a
+    partitioned relation.
     ``bdd_nodes_allocated`` and ``transition_nodes`` are zero for
     the explicit checker, as are the ``bdd_cache_*`` fields.
     ``bdd_cache_lookups`` / ``bdd_cache_hits`` count computed-table

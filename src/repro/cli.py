@@ -98,7 +98,7 @@ def _add_reorder_flag(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="MODE",
         help="dynamic BDD variable reordering: 'sift' runs one sifting "
-        "pass after the transition relation is built, 'auto' re-sifts "
+        "pass after the transition partitions are built, 'auto' re-sifts "
         "whenever the unique table doubles, 'none' (default) keeps the "
         "declared order; verdicts and certificates are identical in "
         "every mode",

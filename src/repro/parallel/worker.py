@@ -120,10 +120,11 @@ def build_system(spec: SystemSpec, engine: str):
         # transition/partition ids index straight into the new manager
         bdd = BDD.from_snapshot(spec.snapshot)
         sym = SymbolicSystem(spec.atoms, bdd=bdd)
-        sym.transition = spec.transition
         if spec.partitions:
             sym.groups = [(frozenset(sym.atoms), list(spec.partitions))]
             sym.stutter = spec.stutter
+        else:
+            sym.transition = spec.transition
         if engine == "explicit":
             return sym.to_explicit()
         return sym

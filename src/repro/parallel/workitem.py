@@ -99,15 +99,17 @@ class SnapshotSpec:
     :meth:`repro.bdd.manager.BDD.snapshot`; node ids are stable across
     snapshot/restore, so ``transition`` and ``partitions`` refer into
     the restored manager directly.  The flat-array wire format makes
-    this cheap enough to pickle across the pool boundary.  ``stutter``
-    marks a relation that is the partitions' conjunction plus the
-    stutter step; the worker derives everything else an image needs
-    from the partition BDDs themselves.
+    this cheap enough to pickle across the pool boundary.  A compiled
+    system ships its ``partitions`` and no relation (its product is
+    never built to be sent); ``stutter`` marks a relation that is their
+    conjunction plus the stutter step, and the worker derives everything
+    else an image needs from the partition BDDs themselves.  Any other
+    system ships its ``transition`` alone.
     """
 
     snapshot: bytes
     atoms: tuple[str, ...]
-    transition: int
+    transition: int | None = None
     partitions: tuple[int, ...] = ()
     stutter: bool = False
 
@@ -308,15 +310,17 @@ def spec_of_component(system) -> SystemSpec:
                 source=source,
                 reflexive=bool(getattr(system, "smv_reflexive", True)),
             )
-        # only a compiled system's one group moves all of Σ; a composite
-        # view ships its materialised relation alone
-        plain = [moved for moved, _ in system.groups] == [set(system.atoms)]
-        transition = system.transition  # built before the snapshot
+        # only a compiled system's one group moves all of Σ: it ships as
+        # its partitions, its product never built; a composite view (or
+        # a system without groups) ships its materialised relation alone
+        if [moved for moved, _ in system.groups] == [set(system.atoms)]:
+            relation = {
+                "partitions": tuple(system.partitions),
+                "stutter": system.stutter,
+            }
+        else:
+            relation = {"transition": system.transition}  # before the snapshot
         return SnapshotSpec(
-            snapshot=system.bdd.snapshot(),
-            atoms=tuple(system.atoms),
-            transition=transition,
-            partitions=tuple(system.partitions) if plain else (),
-            stutter=system.stutter and plain,
+            snapshot=system.bdd.snapshot(), atoms=tuple(system.atoms), **relation
         )
     raise ParallelError(f"cannot derive a work spec for {type(system).__name__}")

@@ -1,23 +1,31 @@
 """Symbolic compilation: :class:`SmvModel` → :class:`SymbolicSystem`.
 
-The transition relation is built once, as the balanced conjunction of
-one partition per variable::
+The compiled system holds its relation as one partition per variable,
+and nothing else::
 
-    P_v  =  valid ∧ ⋁_{val ∈ values(rhs_v)} possible(rhs_v, val) ∧ (v' = val)
-            ∨  ¬valid ∧ frame(v)
-    T    =  ⋀_v  P_v
+    P_v  =  valid ∧ rel(rhs_v)  ∨  ¬valid ∧ frame(v)
 
-The partitions are kept on the system for both compiles: the reflexive
-(paper-style) relation is ``T ∨ Id``, so an image through the raw
-partitions plus the stutter step ``∨ Q`` is exact for it too
-(:meth:`~repro.systems.symbolic.SymbolicSystem.pre_image`).
+where a ``case`` cascade compiles in one pass, first match wins::
 
-Free variables contribute the constraint that their next value is any
-domain value.  Junk bit patterns (outside every variable's domain) get
-self-loops so the relation stays total over the full boolean state
-space; they are unreachable from valid states and excluded from checks by
-the validity initial condition.  Guards read current atoms only, so the
-relation is total exactly when each ``∃ v'. P_v`` is.
+    rel(case g_1 : e_1; … esac)  =  ⋁_i ¬g_1 ∧ … ∧ ¬g_{i-1} ∧ g_i ∧ rel(e_i)
+    rel({e_1, …})                =  ⋁_i rel(e_i)
+    rel(leaf)                    =  ⋁_{val} [leaf may be val] ∧ (v' = val)
+
+Each guard becomes a BDD once (and is shared by every variable whose
+``case`` reads it), and the first-match prefix is carried along as a
+BDD.  A free variable's next value is any domain value.
+
+The raw relation is ``⋀_v P_v``, the reflexive (paper-style) one
+``⋀_v P_v ∨ Id``; ``stutter`` says which.  Images run through the
+partitions (:meth:`~repro.systems.symbolic.SymbolicSystem.pre_image`),
+and the product is built only when something asks for ``transition``
+(``post_image``, ``to_explicit``).
+
+Junk bit patterns (outside every variable's domain) get self-loops so
+the relation stays total over the full boolean state space; they are
+unreachable from valid states and excluded from checks by the validity
+initial condition.  Guards read current atoms only, so the relation is
+total exactly when each ``∃ v'. P_v`` is.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 from repro.bdd.formula import prop_to_bdd
 from repro.bdd.manager import FALSE, TRUE
 from repro.errors import ElaborationError
+from repro.smv.ast import Case, Expr, SetLit
 from repro.smv.elaborate import SmvModel
 from repro.systems.symbolic import SymbolicSystem, primed
 
@@ -46,28 +55,45 @@ def to_symbolic(
     bdd = sym.bdd
     valid = prop_to_bdd(bdd, model.valid_formula())
     invalid = bdd.negate(valid)
+    guards: dict[Expr, int] = {}
+
+    def relation(expr: Expr, domain: tuple, targets: dict) -> int:
+        """``rel(expr)`` (module docstring); ``targets[val]`` is
+        ``v' = val``."""
+        if isinstance(expr, Case):
+            out, prior = FALSE, TRUE
+            for cond, value in expr.branches:
+                guard = guards.get(cond)
+                if guard is None:
+                    guard = guards[cond] = prop_to_bdd(bdd, model.bool_formula(cond))
+                taken = bdd.apply("and", prior, guard)
+                if taken != FALSE:
+                    inner = relation(value, domain, targets)
+                    out = bdd.apply("or", out, bdd.apply("and", taken, inner))
+                prior = bdd.apply("diff", prior, guard)
+                if prior == FALSE:
+                    break  # every later branch is shadowed
+            return out
+        if isinstance(expr, SetLit):
+            return bdd.disj(relation(c, domain, targets) for c in expr.choices)
+        return bdd.disj(
+            bdd.apply("and", prop_to_bdd(bdd, cond), targets[value])
+            for cond, value in model.leaf_choices(expr, domain)
+        )
+
     partitions: list[int] = []
     for var in model.variables:
-        rhs = model.next_assign.get(var.name)
-        constraint = FALSE
-        if rhs is None:
-            values = list(var.domain)
-        else:
-            values = model.value_set(rhs, var.domain)
-        for value in values:
-            if rhs is None:
-                guard = TRUE
-            else:
-                guard = prop_to_bdd(
-                    bdd, model.possible_formula(rhs, value, var.domain)
-                )
-            target = bdd.cube(
-                {
-                    primed(bit): bit_value
-                    for bit, bit_value in var.bit_values(value).items()
-                }
+        targets = {
+            value: bdd.cube(
+                {primed(bit): b for bit, b in var.bit_values(value).items()}
             )
-            constraint = bdd.apply("or", constraint, bdd.apply("and", guard, target))
+            for value in var.domain
+        }
+        rhs = model.next_assign.get(var.name)
+        if rhs is None:
+            constraint = bdd.disj(targets.values())
+        else:
+            constraint = relation(rhs, var.domain, targets)
         # the variable's constraint on valid states, its stutter on junk
         # states: junk bit patterns only self-loop, which keeps them total
         # and stops a guard like `failure : nocall` from "repairing" one
@@ -86,14 +112,11 @@ def to_symbolic(
                 f"expression without a default '1 :' branch falls through"
             )
         partitions.append(partition)
-    sym.set_transition(bdd.conj(partitions), reflexive=reflexive)
-    # the raw partitions serve both compiles: the reflexive relation is
-    # their conjunction plus the stutter step, which images add as ∨ Q
     sym.groups = [(frozenset(sym.atoms), partitions)]
     sym.stutter = reflexive
     if bdd.reorder_mode == "sift":
-        # sift once, after the relation and its partitions exist — the
-        # "auto" mode instead re-sifts whenever the table doubles
+        # sift once, after the partitions exist — the "auto" mode
+        # instead re-sifts whenever the table doubles
         sym.reorder()
     return sym
 

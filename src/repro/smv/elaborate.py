@@ -9,8 +9,10 @@ backend needs:
 * :meth:`SmvModel.possible_formula` — the condition (over current state)
   under which an assignment right-hand side *may* evaluate to a given
   value; this uniformly handles deterministic expressions, set literals
-  ``{a, b}`` and ``case`` cascades, and is the basis of both the explicit
-  and the symbolic transition-relation construction.
+  ``{a, b}`` and ``case`` cascades, and builds the initial condition;
+* :meth:`SmvModel.leaf_choices` — the ``(condition, value)`` pairs of a
+  right-hand side's leaves, from which the symbolic compiler builds each
+  next-state relation in one pass over its ``case`` cascade.
 
 Boolean variables are encoded by an atom of the same name; an enum
 variable ``x`` over ``k`` values becomes bits ``x.0 … `` (see
@@ -385,18 +387,6 @@ class SmvModel:
         atoms; nondeterminism (set literals) yields overlapping conditions
         for different values.
         """
-        kind, val = self._classify(expr)
-        if kind == "lit":
-            return Const(self._coerce(val, domain) == value)
-        if kind == "var":
-            var = self._vars[str(val)]
-            if value not in [self._coerce(v, domain) for v in var.domain]:
-                return Const(False)
-            # the copied variable currently holds `value`
-            source_value = value
-            if var.domain == (False, True):
-                source_value = bool(value)
-            return self.encoding.eq_formula(var.name, source_value)
         if isinstance(expr, SetLit):
             return lor(
                 *(self.possible_formula(c, value, domain) for c in expr.choices)
@@ -405,13 +395,31 @@ class SmvModel:
             return self._case_formula(
                 expr, lambda e: self.possible_formula(e, value, domain)
             )
-        # boolean-valued expression
+        return lor(*(c for c, v in self.leaf_choices(expr, domain) if v == value))
+
+    def leaf_choices(
+        self, expr: Expr, domain: tuple[Value, ...]
+    ) -> list[tuple[Formula, Value]]:
+        """``(condition, value)`` for each value a leaf may produce.
+
+        A leaf is any right-hand side but a set literal or a ``case``: a
+        literal (always its value), a variable copy (each value the
+        copied variable holds) or a boolean expression (``True`` where
+        it holds, ``False`` where it does not).  Conditions are over the
+        current-state atoms; values are coerced into ``domain`` (which
+        :meth:`value_set` has type-checked the leaf against).
+        """
+        kind, val = self._classify(expr)
+        if kind == "lit":
+            return [(TRUE, self._coerce(val, domain))]
+        if kind == "var":
+            var = self._vars[str(val)]
+            return [
+                (self.encoding.eq_formula(var.name, v), self._coerce(v, domain))
+                for v in var.domain
+            ]
         body = self.bool_formula(expr)
-        if value is True:
-            return body
-        if value is False:
-            return Not(body)
-        return Const(False)
+        return [(Not(body), False), (body, True)]
 
     # ------------------------------------------------------------------
     # concrete evaluation (explicit backend)

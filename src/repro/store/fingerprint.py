@@ -59,7 +59,9 @@ __all__ = [
 #: the view's stats — ``transition_nodes`` is the component's own
 #: relation, not the materialised expansion's, and the BDD work counts
 #: (mk calls, cache lookups) are the view's.
-STORE_SCHEMA_VERSION = 2
+#: 3: ``transition_nodes`` counts the relation the checker holds, the
+#: summed node counts of its partitions, not the product relation's.
+STORE_SCHEMA_VERSION = 3
 
 
 def fingerprint_payload(payload: dict) -> str:

@@ -59,8 +59,11 @@ class SymbolicSystem:
         The relation as one BDD over current+next variables; must be
         total to be a valid paper-system (use :meth:`set_transition` to
         stutter-close).  Assigning it installs a new relation and drops
-        the old one's :attr:`groups`.  A composite view builds it only
-        when asked for.
+        the old one's :attr:`groups`.  A system with groups — a compiled
+        system, a composite view — builds it only when asked for
+        (``post_image``, ``to_explicit``): ``⋀ P``, or ``⋀ P ∨ Id`` when
+        it stutters.  Images, :meth:`is_total`, :meth:`is_reflexive` and
+        :meth:`node_count` read the groups instead.
     groups:
         The relation's partition groups, one ``(moved, partitions)`` per
         component: ``partitions`` is a conjunctive partition of that
@@ -99,24 +102,27 @@ class SymbolicSystem:
         #: ``(groups or transition, data)`` for the relation whose cone
         #: data (:meth:`_cone_data`) was last derived.
         self._cone: tuple | None = None
-        #: ``(transition, Id ⊆ transition)`` for the last relation
+        #: ``(groups or transition, Id ⊆ R)`` for the last relation
         #: :meth:`is_reflexive` decided (node ids never change meaning).
-        self._reflexive: tuple[int, bool] | None = None
-        #: ``((transition, reorders), nodes)`` for :meth:`node_count`.
+        self._reflexive: tuple | None = None
+        #: ``((groups or transition, reorders), nodes)`` for
+        #: :meth:`node_count`.
         self._nodes: tuple | None = None
 
     @property
     def transition(self) -> int:
         if self._transition is None:
-            # built on first use, only by a fresh system (Id) and a
-            # composite view: R* = ⋁_i (⋀ P_i ∧ frame(Σ∖moved_i)) ∨ Id —
-            # the one place the product relation is ever built
+            # built on first use from the groups — the one place the
+            # product relation is ever built:
+            # ⋁_i (⋀ P_i ∧ frame(Σ∖moved_i)), ∨ Id when the system
+            # stutters (and for a fresh system, which is Id)
             bdd = self.bdd
             t = bdd.disj(
                 bdd.conj([*parts, self.frame(set(self.atoms) - moved)])
                 for moved, parts in self.groups
             )
-            t = bdd.apply("or", t, self.identity_relation())
+            if self.stutter or not self.groups:
+                t = bdd.apply("or", t, self.identity_relation())
             self._transition = t
             bdd.add_reorder_root(t)
         return self._transition
@@ -154,12 +160,37 @@ class SymbolicSystem:
 
     def is_reflexive(self) -> bool:
         """True when every state may stutter (``Id ⊆ R``); decided once
-        per installed relation."""
-        if self._reflexive is None or self._reflexive[0] != self.transition:
-            diff = self.bdd.apply(
-                "diff", self.identity_relation(), self.transition
-            )
-            self._reflexive = (self.transition, diff == FALSE)
+        per installed relation.
+
+        A stuttering system is; a one-group system (or one held whole)
+        is iff every partition admits its own next bits' frame,
+        ``frame(v) ⊆ P_v`` (next-state supports are disjoint, so
+        ``Id ⊆ ⋀_v P_v`` splits per partition) — neither builds the
+        product.
+        """
+        key = self.groups or self.transition
+        if self._reflexive is None or self._reflexive[0] != key:
+            if self.stutter:
+                reflexive = True
+            elif len(self.relation_groups()) == 1:
+                _, owner, steps, _ = self._cone_data()[0]
+                reflexive = all(
+                    self.bdd.apply(
+                        "diff",
+                        self.frame(a for a in owner if owner[a] == i),
+                        partition,
+                    )
+                    == FALSE
+                    for i, (partition, _) in enumerate(steps)
+                )
+            else:
+                reflexive = (
+                    self.bdd.apply(
+                        "diff", self.identity_relation(), self.transition
+                    )
+                    == FALSE
+                )
+            self._reflexive = (key, reflexive)
         return self._reflexive[1]
 
     def set_transition(self, t: int, reflexive: bool = True) -> None:
@@ -220,10 +251,7 @@ class SymbolicSystem:
         Reflexivity is detected: when the identity relation is contained
         in the transition BDD the result is a reflexive paper-system.
         """
-        reflexive = (
-            self.bdd.apply("diff", self.identity_relation(), self.transition)
-            == FALSE
-        )
+        reflexive = self.is_reflexive()
         names = list(self.atoms) + [primed(a) for a in self.atoms]
         edges = []
         for assignment in self.bdd.iter_sat(self.transition, names):
@@ -359,22 +387,40 @@ class SymbolicSystem:
         return TRUE
 
     def is_total(self) -> bool:
-        """Every state has a successor (implied by reflexivity)."""
-        has_succ = self.bdd.exists([primed(a) for a in self.atoms], self.transition)
+        """Every state has a successor (implied by reflexivity).
+
+        Read off the groups: a stuttering system is total, and ``R`` is
+        iff ``⋁_i ⋀_v ∃v'. P_v`` is TRUE — a group's partitions have
+        disjoint next-state supports, so ``∃x'`` distributes over them.
+        """
+        if self.stutter:
+            return True
+        bdd = self.bdd
+        has_succ = bdd.disj(
+            bdd.conj(bdd.exists(names, partition) for partition, names in steps)
+            for _, _, steps, _ in self._cone_data()
+        )
         return has_succ == TRUE
 
     def node_count(self) -> int:
-        """BDD nodes representing the transition relation (SMV metric),
-        counted once per relation and variable order.
+        """BDD nodes representing the relation the checker holds (SMV
+        metric), counted once per relation and variable order: the sum
+        of the partitions' own counts (``transition``'s alone for a
+        system without groups), as NuSMV reports a partitioned relation.
 
         A composite view reports the sum of its components' own counts:
         the frames and product it never builds are no part of its checks.
         """
         if self._view_nodes is not None:
             return self._view_nodes
-        key = (self.transition, self.bdd.stats.reorders)
+        key = (self.groups or self.transition, self.bdd.stats.reorders)
         if self._nodes is None or self._nodes[0] != key:
-            self._nodes = (key, self.bdd.node_count(self.transition))
+            count = sum(
+                self.bdd.node_count(p)
+                for _, parts in self.relation_groups()
+                for p in parts
+            )
+            self._nodes = (key, count)
         return self._nodes[1]
 
 

@@ -19,6 +19,9 @@ from repro.parallel.workitem import (
     spec_of_component,
 )
 from repro.parallel.worker import build_system, clear_worker_caches, run_work_item
+from repro.smv.compile_symbolic import to_symbolic
+from repro.smv.elaborate import SmvModel
+from repro.smv.parser import parse_module
 from repro.systems.symbolic import SymbolicSystem
 from repro.systems.system import System
 
@@ -70,6 +73,30 @@ class TestSpecDerivation:
         # node ids are stable across snapshot/restore
         assert rebuilt.transition == bare.transition
         assert set(rebuilt.to_explicit().edges) == set(bare.to_explicit().edges)
+
+    @pytest.mark.parametrize("reflexive", [False, True])
+    def test_compiled_system_ships_its_partitions(self, reflexive):
+        # a compiled system without source travels as its partitions:
+        # the product is built on neither side, and the rebuilt images
+        # are node-equal to the original's
+        from repro.bdd.ops import transfer
+
+        original = CLIENT.symbolic()
+        sym = to_symbolic(SmvModel(parse_module(original.smv_source)), reflexive)
+        spec = pickle.loads(pickle.dumps(spec_of_component(sym)))
+        assert isinstance(spec, SnapshotSpec)
+        assert spec.transition is None and spec.stutter == reflexive
+        assert sym._transition is None, "the sender built the product"
+        rebuilt = build_system(spec, "symbolic")
+        assert rebuilt.partitions == sym.partitions
+        assert rebuilt.stutter == reflexive
+        bdd = sym.bdd
+        for name in sym.atoms:
+            for target in (bdd.var(name), bdd.nvar(name)):
+                shipped = transfer(target, bdd, rebuilt.bdd)
+                image = transfer(rebuilt.pre_image(shipped), rebuilt.bdd, bdd)
+                assert image == sym.pre_image(target)
+        assert rebuilt._transition is None, "the worker built the product"
 
     def test_expansion_view_ships_its_materialised_relation(self):
         # a view's groups move only their component's atoms, which no

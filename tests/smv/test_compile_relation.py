@@ -1,23 +1,28 @@
-"""The compiled relation equals the classic left-fold construction.
+"""The compiled partitions and relation equal their textbook references.
 
-:func:`to_symbolic` builds the transition relation once, as the balanced
-conjunction of its per-variable partitions, and checks totality one
-partition at a time.  The reference here is the textbook construction it
-replaced: left-fold every variable's constraint into one relation, then
-mask junk states to self-loops (``valid ∧ t ∨ ¬valid ∧ Id``) and test
-``∃x'. t``.  Both are built in the same manager, so ROBDD canonicity makes
-equal functions equal node ids.
+:func:`to_symbolic` compiles each next-assignment in one pass over its
+``case`` cascade into one partition per variable, checks totality one
+partition at a time, and builds the product relation only when asked
+for.  The references here are the constructions it replaced: one
+``possible_formula`` per (variable, value) for each partition, and the
+left-fold of every variable's constraint into one relation with junk
+states masked to self-loops (``valid ∧ t ∨ ¬valid ∧ Id``) tested by
+``∃x'. t``.  Both sides are built in the same manager, so ROBDD
+canonicity makes equal functions equal node ids.
 """
 
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.bdd.formula import prop_to_bdd
 from repro.bdd.manager import FALSE, TRUE
 from repro.casestudies import afs1, afs2
+from repro.checking.symbolic import SymbolicChecker
 from repro.errors import ElaborationError
+from repro.logic.restriction import Restriction
 from repro.smv.compile_symbolic import to_symbolic
 from repro.smv.elaborate import SmvModel
 from repro.smv.parser import parse_module
@@ -81,23 +86,33 @@ def reference_relation(model: SmvModel, sym: SymbolicSystem) -> int:
     )
 
 
-def partitions_total(model: SmvModel, sym: SymbolicSystem) -> bool:
-    """Totality decided one partition at a time (``∃ v'. P_v == TRUE``)."""
+def reference_partitions(model: SmvModel, sym: SymbolicSystem) -> list[int]:
+    """``P_v = valid ∧ constraint_v ∨ ¬valid ∧ frame(v)`` per variable,
+    one ``possible_formula`` per value."""
     bdd = sym.bdd
     valid = prop_to_bdd(bdd, model.valid_formula())
-    for var in model.variables:
-        partition = bdd.apply(
+    return [
+        bdd.apply(
             "or",
             bdd.apply("and", valid, _constraint(model, sym, var)),
             bdd.apply("and", bdd.negate(valid), sym.frame(var.bits)),
         )
-        if bdd.exists([primed(bit) for bit in var.bits], partition) != TRUE:
-            return False
-    return True
+        for var in model.variables
+    ]
+
+
+def partitions_total(model: SmvModel, sym: SymbolicSystem) -> bool:
+    """Totality decided one partition at a time (``∃ v'. P_v == TRUE``)."""
+    bdd = sym.bdd
+    return all(
+        bdd.exists([primed(bit) for bit in var.bits], partition) == TRUE
+        for var, partition in zip(model.variables, reference_partitions(model, sym))
+    )
 
 
 def _assert_matches_reference(model: SmvModel) -> None:
     sym = to_symbolic(model)
+    assert sym.partitions == reference_partitions(model, sym)
     assert reference_relation(model, sym) == sym.transition
     assert sym.bdd.conj(sym.partitions) == sym.transition
     assert sym.is_total() and partitions_total(model, sym)
@@ -117,6 +132,69 @@ def test_case_study_relations_match_reference(name):
 @settings(max_examples=40, deadline=None)
 def test_random_relations_match_reference(module):
     _assert_matches_reference(SmvModel(module))
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_partitions_match_per_value_reference(reflexive, data):
+    """Raw and reflexive: every partition is node-equal to its
+    per-value reference, a raw compile raises exactly when one is not
+    total, and the product, built only when asked for, is ``⋀ P``
+    (``∨ Id`` iff reflexive)."""
+    model = SmvModel(data.draw(modules(fallthrough=True)))
+    if not reflexive and not partitions_total(
+        model, SymbolicSystem(model.encoding.atoms)
+    ):
+        with pytest.raises(ElaborationError, match="falls through"):
+            to_symbolic(model)
+        return
+    sym = to_symbolic(model, reflexive=reflexive)
+    bdd = sym.bdd
+    assert sym.partitions == reference_partitions(model, sym)
+    assert sym.stutter == reflexive
+    assert sym._transition is None, "the compile built the product"
+    product = bdd.conj(sym.partitions)
+    if reflexive:
+        product = bdd.apply("or", product, sym.identity_relation())
+    assert sym.transition == product
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        afs1.AFS1_SERVER_FIGURE,
+        afs2.server_source(2, rename=False) + afs2.SERVER_SPECS_FIGURE,
+    ],
+    ids=["afs1_server", "afs2_server2"],
+)
+def test_cold_checks_leave_the_product_unbuilt(source, monkeypatch):
+    """A cold ``SymbolicChecker.holds`` and a cold ``cached_check`` of a
+    compiled module image through its partitions and count them for
+    ``transition_nodes``: neither builds the product relation."""
+    from repro.smv import compile_symbolic
+    from repro.store import cached_check
+
+    model = SmvModel(parse_module(source))
+    sym = to_symbolic(model)
+    checker = SymbolicChecker(sym)
+    restriction = Restriction(init=model.initial_formula())
+    assert all(checker.holds(spec, restriction).holds for spec in model.specs)
+    assert sym._transition is None
+    assert sym.node_count() == sum(
+        sym.bdd.node_count(p) for p in sym.partitions
+    )
+
+    compiled = []
+
+    def recording(*args, **kwargs):
+        compiled.append(to_symbolic(*args, **kwargs))
+        return compiled[-1]
+
+    monkeypatch.setattr(compile_symbolic, "to_symbolic", recording)
+    run = cached_check(source, store=None)
+    assert all(result.holds for result in run.results)
+    assert len(compiled) == 1 and compiled[0]._transition is None
+    assert run.transition_nodes == sym.node_count()
 
 
 class TestFallThrough:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.bdd.formula import prop_to_bdd
-from repro.bdd.manager import TRUE
+from repro.bdd.manager import FALSE, TRUE
 from repro.bdd.ops import transfer
 
 from repro.smv.ast import (
@@ -165,6 +165,28 @@ def test_partitioned_pre_image_exact_on_random_models(module):
         assert sym.pre_image(target) == mono
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_reflexive_and_total_read_off_the_partitions(data):
+    """``is_reflexive``/``is_total`` decided from a compiled group, with
+    and without the stutter step, agree with ``Id ⊆ R`` and ``∃x'. R``
+    on the materialised relation — and deciding them builds no
+    product."""
+    module = data.draw(modules(fallthrough=True))
+    sym = to_symbolic(SmvModel(module), reflexive=True)
+    bdd = sym.bdd
+    for stutter in (False, True):
+        group = SymbolicSystem(sym.atoms, bdd=bdd)
+        group.groups, group.stutter = sym.groups, stutter
+        decided = (group.is_reflexive(), group.is_total())
+        assert group._transition is None
+        relation = group.transition
+        assert decided == (
+            bdd.apply("diff", group.identity_relation(), relation) == FALSE,
+            bdd.exists([primed(a) for a in group.atoms], relation) == TRUE,
+        )
+
+
 #: A ``case`` without its default: no successor from valid states with
 #: ``!go``, so only a reflexive compile accepts it, and its partition for
 #: ``x`` is not total.
@@ -180,13 +202,26 @@ FALLS_THROUGH = Module(
 _EXTRA = ("aux", "zz")
 
 
+def paper_composite(view):
+    """``R* = ⋁_i (⋀ P_i ∧ frame(Σ*∖moved_i)) ∨ Id`` (paper §3.1), built
+    here from the view's groups: it reads neither the view's ``stutter``
+    flag nor the image code, so an engine mutant cannot reach it."""
+    bdd = view.bdd
+    steps = [
+        bdd.conj([*parts, view.frame(set(view.atoms) - moved)])
+        for moved, parts in view.groups
+    ]
+    return bdd.disj([*steps, view.identity_relation()])
+
+
 def assert_view_exact(components, extra, targets_of):
     """The composite view's pre-images are node-equal to the relational
-    product over its materialised relation ``transition``, for every
-    target ``targets_of(view)`` builds and its negation."""
+    product over the paper's ``R*`` (:func:`paper_composite`), for every
+    target ``targets_of(view)`` builds and its negation; and the view's
+    materialised ``transition`` is that ``R*``."""
     view = composite_view(components, extra)
     bdd = view.bdd
-    relation = view.transition
+    relation = paper_composite(view)
     targets = list(targets_of(view))
     targets += [bdd.negate(t) for t in targets]
     for target in targets:
@@ -196,6 +231,7 @@ def assert_view_exact(components, extra, targets_of):
             [primed(a) for a in view.atoms],
         )
         assert view.pre_image(target) == expected, "view pre-image differs"
+    assert view.transition == relation, "materialised relation differs"
 
 
 def shaped_targets(conjunctions=()):
