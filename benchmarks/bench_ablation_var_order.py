@@ -8,9 +8,9 @@ result that transition relations blow up without interleaving.
 ``test_a3_sifted_from_blocked`` closes the loop: starting from that
 worst declared order, one in-place Rudell sifting pass
 (:meth:`repro.bdd.manager.BDD.reorder`) must at least halve the shared
-relation size.  Node counts land in ``benchmark.extra_info`` so the
-``BENCH_bdd_engine.json`` trajectory records sifted-vs-declared-order
-sizes alongside the timings.
+relation size.  Node counts land in ``benchmark.extra_info``, so a
+``--benchmark-json`` run records sifted-vs-declared-order sizes
+alongside the timings.
 """
 
 from repro.bdd.reorder import rebuild_with_order, shared_size

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.casestudies.afs2 import SERVER_SPECS_FIGURE, server_source
 from repro.cluster.peers import (
     CircuitBreaker,
     PeerAwareStore,
@@ -23,7 +24,7 @@ from repro.cluster.ring import RingConfig
 from repro.serve.client import ServeClient
 from repro.serve.http import create_server
 from repro.serve.jobs import JobManager
-from repro.store import ResultStore
+from repro.store import ResultStore, cached_check
 from repro.store.store import StoreRecord
 
 
@@ -168,6 +169,22 @@ class TestLivePeerFetch:
         assert store.path_for(fp).is_file()
         assert store.get(fp, kind="spec").spec_text == "AG x"
         assert store.metrics.get("cluster.peer_fetch.hit") == 1
+
+    def test_check_replays_from_peer_with_no_local_work(self, tmp_path, live_peer):
+        """A member with an empty store replays a check its peer made:
+        every verdict arrives by peer fetch, none is re-checked."""
+        server, peer_store = live_peer
+        source = server_source(2, rename=False) + SERVER_SPECS_FIGURE
+        cold = cached_check(source, store=peer_store)
+        assert cold.all_true and cold.misses > 0
+        peer = f"127.0.0.1:{server.port}"
+        me = f"127.0.0.1:{free_port()}"
+        config = RingConfig.parse(f"{me},{peer}", self_url=me)
+        store = PeerAwareStore(tmp_path / "local", config, timeout=2.0)
+        warm = cached_check(source, store=store)
+        assert warm.all_true and warm.misses == 0
+        assert warm.hits == cold.misses
+        assert store.metrics.get("cluster.peer_fetch.hit") > 0
 
     def test_remote_miss_counts_miss_not_error(self, tmp_path, live_peer):
         server, _ = live_peer
