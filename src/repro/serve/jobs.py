@@ -751,8 +751,14 @@ class JobManager:
                     job, state, tracer, queue_wait, check_seconds,
                     serialize_seconds,
                 )
-                # published after the stamping, so a job seen terminal
-                # already carries its timings and trace
+                if self.store is not None:
+                    try:
+                        self.store.flush_counters()
+                    except OSError:
+                        pass  # sidecar is best-effort; never fail a job
+                # published after the stamping and the counter flush, so
+                # a job seen terminal already carries its timings and
+                # trace, and its counters are on disk
                 job.state = state
                 if job.progress is not None:
                     scheduler.unsubscribe_progress(job.id)
@@ -765,11 +771,6 @@ class JobManager:
                         },
                     )
                     job.progress.close()
-                if self.store is not None:
-                    try:
-                        self.store.flush_counters()
-                    except OSError:
-                        pass  # sidecar is best-effort; never fail a job
 
     def _finish_observations(
         self,

@@ -60,7 +60,7 @@ class TestBalance:
         assert max(shares.values()) / mean <= 1.35
 
     def test_two_member_ring_balanced(self):
-        """The cluster_smoke configuration specifically."""
+        """Two members, as ``tools/smoke.py cluster`` runs them."""
         ring = HashRing(["127.0.0.1:8124", "127.0.0.1:8125"])
         shares = ring.shares()
         assert max(shares.values()) / 0.5 <= 1.25

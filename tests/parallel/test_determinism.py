@@ -124,3 +124,41 @@ def test_parallel_verify_monolithic_matches_sequential():
         assert str(proven_s.formula) == str(proven_p.formula)
         assert bool(result_s) == bool(result_p)
         assert all(bool(r) for r in (result_s, result_p))
+
+
+def _obligations(pf):
+    """Each distinct obligation of a proof, in discharge order."""
+    unique = {}
+    for step in pf.log:
+        for leaf in step.leaves():
+            for obligation in leaf.obligations:
+                unique.setdefault(id(obligation), obligation)
+    return list(unique.values())
+
+
+class TestParallelAccounting:
+    """The AFS-1 liveness proof through a fresh 2-worker pool: one work
+    item per sequential obligation, and worker statistics that reconcile
+    exactly with the obligation results they were shipped with."""
+
+    @pytest.fixture(scope="class")
+    def proofs(self):
+        from repro.parallel.pool import shared_scheduler
+
+        sequential, _ = Afs1("symbolic").prove_liveness()
+        shutdown_shared()  # a fresh pool: its metrics count this proof only
+        parallel, _ = Afs1("symbolic", jobs=2).prove_liveness()
+        return sequential, parallel, shared_scheduler(2).metrics
+
+    def test_one_item_per_sequential_obligation(self, proofs):
+        sequential, _, metrics = proofs
+        assert metrics.get("parallel.items") == len(_obligations(sequential))
+
+    @pytest.mark.parametrize(
+        "counter",
+        ["subformulas_evaluated", "fixpoint_iterations", "bdd_mk_calls"],
+    )
+    def test_merged_stats_equal_obligation_sums(self, proofs, counter):
+        _, parallel, metrics = proofs
+        total = sum(getattr(o.stats, counter) for o in _obligations(parallel))
+        assert metrics.get(f"parallel.check.{counter}") == total

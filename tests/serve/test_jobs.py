@@ -252,3 +252,32 @@ class TestRequestObservability:
         failed = next(e for e in events if e["event"] == "job.failed")
         assert failed["level"] == "error"
         assert failed["error"]
+
+
+class _StateRecordingStore(ResultStore):
+    """A store whose ``flush_counters`` notes the job's state at call time."""
+
+    job: Job | None = None
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.states_at_flush: list[str] = []
+
+    def flush_counters(self):
+        self.states_at_flush.append(self.job.state)
+        return super().flush_counters()
+
+
+class TestCounterFlushOrder:
+    def test_counters_flushed_before_terminal_state(self, tmp_path):
+        # a client that sees the job done may read counters.json at once
+        store = _StateRecordingStore(tmp_path)
+        manager = JobManager(jobs=1, queue_size=2, store=store)
+        store.job = manager.submit([JobRequest(source=GOOD)])
+        manager.start()  # after store.job is set: no race with the runner
+        try:
+            assert _wait(manager, store.job).state == "done"
+            assert store.states_at_flush == ["running"]
+            assert (tmp_path / "counters.json").exists()
+        finally:
+            manager.stop()
