@@ -1,19 +1,14 @@
 """Ablation A3 — interleaved current/next variable order vs blocked order.
 
-The symbolic backend interleaves ``a, a', b, b', …`` (DESIGN.md §4).  This
-bench rebuilds the AFS-1 server transition relation under the blocked
-order ``a, b, …, a', b', …`` and compares node counts — the classic
-result that transition relations blow up without interleaving.
-
-``test_a3_sifted_from_blocked`` closes the loop: starting from that
-worst declared order, one in-place Rudell sifting pass
-(:meth:`repro.bdd.manager.BDD.reorder`) must at least halve the shared
-relation size.  Node counts land in ``benchmark.extra_info``, so a
-``--benchmark-json`` run records sifted-vs-declared-order sizes
-alongside the timings.
+The symbolic backend declares ``a, a', b, b', …`` interleaved (DESIGN.md
+§4) and never reorders.  This bench rebuilds the AFS-1 server transition
+relation under the blocked order ``a, b, …, a', b', …`` and compares node
+counts — the classic result that transition relations blow up without
+interleaving.  Node counts land in ``benchmark.extra_info``, so a
+``--benchmark-json`` run records both sizes alongside the timings.
 """
 
-from repro.bdd.reorder import rebuild_with_order, shared_size
+from repro.bdd.order import rebuild_with_order, shared_size
 from repro.casestudies.afs1 import AFS1_SERVER_FIGURE
 from repro.smv.compile_symbolic import to_symbolic
 from repro.smv.elaborate import SmvModel
@@ -54,18 +49,3 @@ def test_a3_blocked_order(benchmark):
     # shape: blocked order must not beat the interleaved default
     assert blocked_size >= interleaved_size
 
-
-def test_a3_sifted_from_blocked(benchmark):
-    def run():
-        sym = _relation()
-        mgr, (t,) = rebuild_with_order([sym.transition], sym.bdd, _blocked(sym))
-        mgr.add_reorder_root(t)
-        summary = mgr.reorder("sift")
-        return summary["nodes_before"], shared_size(mgr, [t])
-
-    nodes_before, nodes_after = benchmark(run)
-    benchmark.extra_info["nodes_before"] = nodes_before
-    benchmark.extra_info["nodes_after"] = nodes_after
-    # the acceptance bar: one sifting pass must at least halve the
-    # relation built under the worst declared order (measured: 176 -> 56)
-    assert nodes_after * 2 <= nodes_before

@@ -6,35 +6,24 @@ Public surface:
 * :data:`~repro.bdd.manager.TRUE` / :data:`~repro.bdd.manager.FALSE`
 * :func:`~repro.bdd.ops.transfer`, :func:`~repro.bdd.ops.evaluate`,
   :func:`~repro.bdd.ops.implies`, :func:`~repro.bdd.ops.dnf`
-* :func:`~repro.bdd.reorder.sift`, :func:`~repro.bdd.reorder.rebuild_with_order`
+* :func:`~repro.bdd.order.rebuild_with_order`, :func:`~repro.bdd.order.shared_size`
 * :func:`~repro.bdd.dot.to_dot`
 """
 
 from repro.bdd.dot import to_dot
-from repro.bdd.manager import (
-    BDD,
-    FALSE,
-    REORDER_MODES,
-    TRUE,
-    default_reorder,
-    set_default_reorder,
-)
+from repro.bdd.manager import BDD, FALSE, TRUE
 from repro.bdd.ops import dnf, equiv, evaluate, implies, transfer
-from repro.bdd.reorder import rebuild_with_order, shared_size, sift
+from repro.bdd.order import rebuild_with_order, shared_size
 
 __all__ = [
     "BDD",
     "TRUE",
     "FALSE",
-    "REORDER_MODES",
-    "default_reorder",
-    "set_default_reorder",
     "transfer",
     "evaluate",
     "implies",
     "equiv",
     "dnf",
-    "sift",
     "rebuild_with_order",
     "shared_size",
     "to_dot",

@@ -11,13 +11,12 @@ hash-consed ROBDD implementation:
   **per-level unique subtables** — one hash table per variable level,
   keyed on ``(low, high)`` alone.  Structural equality is pointer
   (integer) equality, and all nodes of one level can be enumerated and
-  rehashed locally, which is what makes in-place reordering a local
-  operation.  (The subtables are CPython dicts rather than hand-rolled
-  ``array('q')`` linear probing: measured on the find-or-create mix of
-  the engine microbenches, the C dict probe beats a Python-level
-  open-addressing loop by ~4× — ``_mk`` is the hottest function in the
-  package, so the wire format keeps the flat-array form but the live
-  tables use the faster probe);
+  rehashed locally, as :meth:`BDD.restore` does.  (The subtables are
+  CPython dicts rather than hand-rolled ``array('q')`` linear probing:
+  measured on the find-or-create mix of the engine microbenches, the C
+  dict probe beats a Python-level open-addressing loop by ~4× — ``_mk``
+  is the hottest function in the package, so the wire format keeps the
+  flat-array form but the live tables use the faster probe);
 * the boolean connectives run on **specialized recursive kernels**
   (:meth:`BDD._and_rec`, :meth:`BDD._or_rec`, :meth:`BDD._xor_rec`) with
   commutativity-canonicalized per-op caches; the universal memoized
@@ -28,15 +27,11 @@ hash-consed ROBDD implementation:
   a function is one linear pass that records both directions);
 * quantification, renaming and the fused relational product
   (:meth:`BDD.and_exists`) are provided for image computation;
-* **dynamic variable reordering** is an in-place operation:
-  :meth:`BDD._swap_adjacent` exchanges two adjacent levels by rehashing
-  exactly those two subtables, :meth:`BDD.reorder` runs Rudell-style
-  sifting on top of it, and an auto-reorder trigger
-  (``BDD(reorder="auto")``) fires sifting whenever the node count has
-  doubled since the last reorder.  Swaps preserve the function denoted
-  by **every** node id, so ids held by clients (transition relations,
-  checker memos) stay valid across a reorder; only the level-keyed
-  memo tables must be (and are) invalidated;
+* the variable order is the declaration order and never changes:
+  callers declare their variables in the order they want (the symbolic
+  systems interleave each atom with its primed copy), and
+  :func:`repro.bdd.order.rebuild_with_order` copies functions into a
+  fresh manager to measure another order;
 * :meth:`BDD.snapshot` / :meth:`BDD.restore` serialize the flat arrays
   to bytes in one packing pass (no per-node Python objects in the wire
   form), so a compiled transition relation crosses the process-pool
@@ -48,9 +43,8 @@ number of nodes ever allocated (``nodes_allocated``) mirrors SMV's
 "BDD nodes allocated" line, and :meth:`BDD.node_count` of a transition
 relation mirrors "BDD nodes representing transition relation".  On top of
 that, :attr:`BDD.stats` (a :class:`repro.bdd.stats.BDDStats`) tracks
-per-operation cache lookups/hits/inserts, ``_mk`` calls, the peak
-unique-table size, and reorder activity (runs, adjacent swaps, node
-counts before/after), which the checkers surface in their
+per-operation cache lookups/hits/inserts, ``_mk`` calls and the peak
+unique-table size, which the checkers surface in their
 ``resources used:`` blocks.
 
 Performance notes (per the project's HPC guidelines): the hot paths are
@@ -69,11 +63,11 @@ materialised ``R*``); the balanced fold keeps intermediates
 small and cache keys diverse.  Recursion depth is bounded by the number
 of variables, which is small (tens) for the systems in this domain.
 
-Reordering caveat: no garbage collection is performed (ids are never
-renumbered, which is exactly why client-held ids survive), so nodes made
-unreachable by sifting stay interned.  The reachable size of any root
-under the final order is unaffected — measure it with
-:func:`repro.bdd.reorder.shared_size` / :meth:`BDD.node_count`.
+No garbage collection is performed: ids are never renumbered, so ids
+held by clients (transition relations, checker memos) stay valid for
+the manager's lifetime.  The reachable size of a root is
+:meth:`BDD.node_count`, of several roots
+:func:`repro.bdd.order.shared_size`.
 """
 
 from __future__ import annotations
@@ -85,7 +79,6 @@ from collections.abc import Iterable, Iterator, Mapping
 
 from repro.bdd.stats import BDDStats
 from repro.errors import BddError
-from repro.obs.progress import PROGRESS
 from repro.obs.tracer import TRACER
 
 #: Constant node id for FALSE.
@@ -96,36 +89,8 @@ TRUE = 1
 #: Level assigned to the two terminal nodes; larger than any variable level.
 _TERMINAL_LEVEL = 1 << 30
 
-#: Reorder modes accepted by :class:`BDD` and the CLI ``--reorder`` flag.
-REORDER_MODES = ("none", "sift", "auto")
-
 #: Snapshot wire-format magic (versioned via the JSON header that follows).
 _SNAPSHOT_MAGIC = b"RBDD\x01"
-
-#: Process-wide default reorder mode, used when ``BDD(reorder=None)``.
-#: The CLI sets this from ``--reorder``; forked pool workers inherit it.
-_DEFAULT_REORDER = "none"
-
-
-def set_default_reorder(mode: str) -> str:
-    """Set the process-wide default reorder mode; returns the previous one.
-
-    Managers created afterwards with ``BDD(reorder=None)`` (the default)
-    pick this up; existing managers are unaffected.
-    """
-    global _DEFAULT_REORDER
-    if mode not in REORDER_MODES:
-        raise BddError(
-            f"unknown reorder mode {mode!r} (expected one of {REORDER_MODES})"
-        )
-    previous = _DEFAULT_REORDER
-    _DEFAULT_REORDER = mode
-    return previous
-
-
-def default_reorder() -> str:
-    """The current process-wide default reorder mode."""
-    return _DEFAULT_REORDER
 
 
 def _release(fn) -> None:
@@ -146,19 +111,10 @@ def _release(fn) -> None:
 class BDD:
     """A BDD manager: variable ordering, unique table, and operations.
 
-    Variables are created with :meth:`add_var` and start out ordered by
-    creation order (level 0 at the top); :meth:`reorder` may move them
-    afterwards — :meth:`current_order` is the live order.  All node ids
-    returned by one manager are only meaningful for that manager; use
+    Variables are created with :meth:`add_var` and are ordered by
+    creation order (level 0 at the top).  All node ids returned by one
+    manager are only meaningful for that manager; use
     :func:`repro.bdd.ops.transfer` to move functions between managers.
-
-    ``reorder`` selects the dynamic-reordering mode: ``"none"`` (never
-    reorder implicitly), ``"sift"`` (no implicit trigger either, but
-    compilation pipelines sift once after building a transition
-    relation), or ``"auto"`` (sift whenever the interned node count has
-    at least doubled — and exceeds ``auto_min_nodes`` — since the last
-    reorder).  ``None`` defers to the process-wide default set by
-    :func:`set_default_reorder`.
 
     Example
     -------
@@ -169,13 +125,7 @@ class BDD:
     1
     """
 
-    def __init__(
-        self,
-        reorder: str | None = None,
-        *,
-        auto_min_nodes: int = 2048,
-        max_growth: float = 1.2,
-    ) -> None:
+    def __init__(self) -> None:
         # Parallel arrays for node fields.  Slots 0/1 are the terminals.
         self._level: list[int] = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
         self._low: list[int] = [0, 1]
@@ -198,18 +148,12 @@ class BDD:
         # variables
         self._var_names: list[str] = []
         self._var_index: dict[str, int] = {}
-        # reorder groups: variables that must stay adjacent while sifting
-        self._groups: list[tuple[str, ...]] = []
-        self._group_of: dict[str, int] = {}
-        # registered reorder roots: the functions sifting optimizes for
-        self._roots: list[int] = []
-        self._root_set: set[int] = set()
         # statistics
         self.nodes_allocated: int = 2  # terminals count, like SMV's base cost
         self.cache_enabled: bool = True
         #: Op-level counters (lookups/hits/inserts per memo table, _mk
-        #: calls, peak unique-table size, reorder activity).  Cumulative;
-        #: snapshot/delta to attribute costs to a single run.
+        #: calls, peak unique-table size).  Cumulative; snapshot/delta to
+        #: attribute costs to a single run.
         self.stats = BDDStats()
         ops = self.stats.ops
         self._c_ite = ops["ite"]
@@ -220,24 +164,6 @@ class BDD:
         self._c_quant = ops["quant"]
         self._c_and_exists = ops["and_exists"]
         self._c_rename = ops["rename"]
-        # dynamic reordering configuration
-        self._last_reorder_size: int = 0
-        self._configure_reorder(reorder, auto_min_nodes, max_growth)
-
-    def _configure_reorder(
-        self, mode: str | None, auto_min_nodes: int, max_growth: float
-    ) -> None:
-        if mode is None:
-            mode = _DEFAULT_REORDER
-        if mode not in REORDER_MODES:
-            raise BddError(
-                f"unknown reorder mode {mode!r} (expected one of {REORDER_MODES})"
-            )
-        self.reorder_mode: str = mode
-        self._auto: bool = mode == "auto"
-        self._auto_min_nodes = int(auto_min_nodes)
-        self._max_growth = float(max_growth)
-        self._auto_limit = max(self._auto_min_nodes, 2 * self._last_reorder_size)
 
     # ------------------------------------------------------------------
     # variables
@@ -257,65 +183,9 @@ class BDD:
         for name in names:
             self.add_var(name)
 
-    def group(self, *names: str) -> None:
-        """Pin ``names`` together as a reorder block.
-
-        Grouped variables must be adjacent in the current order (in the
-        given relative order); :meth:`reorder` then moves the whole block
-        as a unit and never changes its internal order.  The symbolic
-        systems group each state variable with its primed copy so the
-        current→next rename stays monotone under any reordering.
-        """
-        if len(names) < 2:
-            return
-        for name in names:
-            if name not in self._var_index:
-                raise BddError(f"unknown variable {name!r}")
-            if name in self._group_of:
-                raise BddError(f"variable {name!r} is already in a reorder group")
-        levels = [self._var_index[n] for n in names]
-        if levels != list(range(levels[0], levels[0] + len(names))):
-            raise BddError(
-                "grouped variables must be adjacent in the current order"
-            )
-        gid = len(self._groups)
-        self._groups.append(tuple(names))
-        for name in names:
-            self._group_of[name] = gid
-
-    def add_reorder_root(self, u: int) -> int:
-        """Register ``u`` as a function sifting should keep small.
-
-        There is no garbage collection (ids are never renumbered), so the
-        manager cannot tell live nodes from dead ones on its own; sifting
-        instead sizes every candidate position by the nodes *reachable
-        from the registered roots*.  The symbolic systems register their
-        transition relation, partitions and initial/invariant sets here;
-        :meth:`reorder` also accepts an explicit ``roots`` argument.
-        Returns ``u`` so registration can wrap a producing expression.
-        """
-        if u > 1 and u not in self._root_set:
-            self._root_set.add(u)
-            self._roots.append(u)
-        return u
-
-    @property
-    def reorder_roots(self) -> tuple[int, ...]:
-        """The registered reorder roots, in registration order."""
-        return tuple(self._roots)
-
     @property
     def var_names(self) -> tuple[str, ...]:
-        """All declared variable names, top of the current order first."""
-        return tuple(self._var_names)
-
-    def current_order(self) -> tuple[str, ...]:
-        """Variable names in their current level order (top first).
-
-        Before any :meth:`reorder` this equals declaration order; after
-        one it is the sifted order — callers should use this instead of
-        reconstructing the order from :meth:`level_of`.
-        """
+        """All declared variable names, top of the order first."""
         return tuple(self._var_names)
 
     def num_vars(self) -> int:
@@ -420,266 +290,13 @@ class BDD:
         self._rename_cache.clear()
 
     # ------------------------------------------------------------------
-    # dynamic reordering
-    # ------------------------------------------------------------------
-    def _maybe_reorder(self) -> None:
-        """Auto-trigger: sift when the table has doubled since last time.
-
-        Checked only at non-recursive operation entry points — never from
-        inside a recursion, where locals cache levels and cofactors that
-        a swap would invalidate.
-        """
-        if len(self._level) - 2 >= self._auto_limit:
-            self.reorder("sift")
-
-    def _swap_adjacent(self, i: int) -> None:
-        """Swap the variables at levels ``i`` and ``i + 1`` in place.
-
-        A local operation on the two level subtables: nodes at level
-        ``i + 1`` never depend on the variable leaving level ``i`` and are
-        relabeled wholesale; nodes at level ``i`` either ignore the
-        variable entering it (relabel down) or are rewired around their
-        four grandchild cofactors.  Rewired nodes keep their ids, so the
-        function denoted by every existing id — live or dead — is
-        preserved, which is what keeps client-held ids valid.
-        """
-        j = i + 1
-        level_, low_, high_ = self._level, self._low, self._high
-        old_i, old_j = self._tables[i], self._tables[j]
-        movers: list[int] = []
-        rebuilds: list[tuple[int, int, int, int, int]] = []
-        for n in old_i.values():
-            f0, f1 = low_[n], high_[n]
-            dep0 = level_[f0] == j
-            dep1 = level_[f1] == j
-            if not (dep0 or dep1):
-                movers.append(n)
-                continue
-            if dep0:
-                f00, f01 = low_[f0], high_[f0]
-            else:
-                f00 = f01 = f0
-            if dep1:
-                f10, f11 = low_[f1], high_[f1]
-            else:
-                f10 = f11 = f1
-            rebuilds.append((n, f00, f01, f10, f11))
-        new_i: dict[tuple[int, int], int] = {}
-        new_j: dict[tuple[int, int], int] = {}
-        for n in old_j.values():  # independent of the old level-i variable
-            level_[n] = i
-            new_i[(low_[n], high_[n])] = n
-        for n in movers:  # independent of the old level-j variable
-            level_[n] = j
-            new_j[(low_[n], high_[n])] = n
-        self._tables[i] = new_i
-        self._tables[j] = new_j
-        mk = self._mk
-        for n, f00, f01, f10, f11 in rebuilds:
-            # n = ite(v; ite(u; f00, f10), ite(u; f01, f11)) with v now on
-            # top; the two children cannot collapse (n depends on u) and
-            # _mk shares them with movers when the functions coincide
-            low_[n] = mk(j, f00, f10)
-            high_[n] = mk(j, f01, f11)
-            new_i[(low_[n], high_[n])] = n
-        names = self._var_names
-        names[i], names[j] = names[j], names[i]
-        self._var_index[names[i]] = i
-        self._var_index[names[j]] = j
-        self.stats.swaps += 1
-
-    def _blocks(self) -> list[list[str]]:
-        """Sift units in current order: groups as one block, rest singletons."""
-        blocks: list[list[str]] = []
-        placed: set[int] = set()
-        last_gid: int | None = None
-        for name in self._var_names:
-            gid = self._group_of.get(name)
-            if gid is None:
-                blocks.append([name])
-            elif gid == last_gid:
-                blocks[-1].append(name)
-            elif gid in placed:
-                raise BddError(
-                    f"reorder group {self._groups[gid]!r} is not contiguous "
-                    "in the current order"
-                )
-            else:
-                blocks.append([name])
-                placed.add(gid)
-            last_gid = gid
-        return blocks
-
-    def _swap_blocks(self, blocks: list[list[str]], bi: int) -> None:
-        """Exchange adjacent blocks ``bi`` and ``bi + 1`` by bubbling swaps."""
-        a, b = len(blocks[bi]), len(blocks[bi + 1])
-        s = sum(len(blk) for blk in blocks[:bi])
-        for t in range(b):
-            lvl = s + a + t
-            for _ in range(a):
-                lvl -= 1
-                self._swap_adjacent(lvl)
-        blocks[bi], blocks[bi + 1] = blocks[bi + 1], blocks[bi]
-
-    def _live_size(self, roots: list[int]) -> int:
-        """Internal nodes reachable from ``roots`` (terminals excluded)."""
-        seen: set[int] = set()
-        low_, high_ = self._low, self._high
-        stack = list(roots)
-        while stack:
-            n = stack.pop()
-            if n <= 1 or n in seen:
-                continue
-            seen.add(n)
-            stack.append(low_[n])
-            stack.append(high_[n])
-        return len(seen)
-
-    def _sift_block(
-        self,
-        blocks: list[list[str]],
-        block: list[str],
-        roots: list[int],
-        growth: float,
-    ) -> bool:
-        """Sift one block to its best position under a max-growth bound.
-
-        Candidate positions are sized by the nodes reachable from
-        ``roots``: ids are stable across swaps, so one reachability pass
-        per position measures exactly the functions the client cares
-        about — the analogue of CUDD's live-node count, which is
-        unavailable here because dead nodes are never collected.
-        """
-        m = len(blocks)
-        k0 = next(k for k, blk in enumerate(blocks) if blk is block)
-        start = self._live_size(roots)
-        limit = int(start * growth) + 2
-        best_size, best_idx, idx = start, k0, k0
-        # walk to the nearer end first, then sweep to the other end
-        directions = (1, -1) if (m - 1 - k0) <= k0 else (-1, 1)
-        for d in directions:
-            while 0 <= idx + d < m:
-                self._swap_blocks(blocks, idx if d == 1 else idx - 1)
-                idx += d
-                size = self._live_size(roots)
-                if size < best_size:
-                    best_size, best_idx = size, idx
-                if size > limit:
-                    break
-        while idx != best_idx:
-            d = 1 if best_idx > idx else -1
-            self._swap_blocks(blocks, idx if d == 1 else idx - 1)
-            idx += d
-        return best_idx != k0
-
-    def _sift_pass(
-        self, blocks: list[list[str]], roots: list[int], growth: float
-    ) -> bool:
-        """One sifting round over all blocks, heaviest subtables first."""
-        tables = self._tables
-        index = self._var_index
-
-        def weight(block: list[str]) -> int:
-            return -sum(len(tables[index[name]]) for name in block)
-
-        moved = False
-        for block in sorted(blocks, key=weight):
-            if self._sift_block(blocks, block, roots, growth):
-                moved = True
-        return moved
-
-    def reorder(
-        self,
-        method: str = "sift",
-        *,
-        roots: Iterable[int] | None = None,
-        max_growth: float | None = None,
-        rounds: int = 1,
-    ) -> dict[str, int | str]:
-        """Run in-place dynamic reordering; returns a summary dict.
-
-        ``method="sift"`` (the only method) applies Rudell sifting: each
-        block of variables — heaviest first — is bubbled through every
-        position via adjacent-level swaps and parked where the functions
-        of interest were smallest, abandoning a direction once they grow
-        past ``max_growth`` × their pre-sift size.  Up to ``rounds``
-        passes run, stopping early when a pass moves nothing.
-
-        ``roots`` (default: the :meth:`add_reorder_root` registry) are
-        the functions whose shared reachable size is minimized.  With no
-        roots at all there is nothing to measure — the call records its
-        bookkeeping (resetting the auto-reorder trigger) and returns
-        without swapping.
-
-        Every existing node id still denotes the same boolean function
-        afterwards; all memo caches are dropped (the level-keyed
-        quantification/rename caches would be stale, and the op caches
-        are cheap to rebuild against the new structure).
-        """
-        if method != "sift":
-            raise BddError(f"unknown reorder method {method!r}")
-        growth = self._max_growth if max_growth is None else float(max_growth)
-        live = list(self._roots if roots is None else roots)
-        st = self.stats
-        before = self._live_size(live)
-        swaps0 = st.swaps
-        blocks = self._blocks()
-        if len(blocks) >= 2 and before:
-            # a sift can run for a long time with no fixpoint ticks in
-            # between — its start/finish events double as heartbeats so
-            # the stall watchdog never flags a legitimately reordering
-            # obligation
-            if PROGRESS.enabled:
-                PROGRESS.emit("reorder.start", nodes=before)
-            if TRACER.enabled:
-                with TRACER.span("bdd.reorder", category="bdd") as span:
-                    self._run_sift(blocks, live, growth, rounds)
-                    span.add("nodes_before", before)
-                    span.add("nodes_after", self._live_size(live))
-                    span.add("swaps", st.swaps - swaps0)
-            else:
-                self._run_sift(blocks, live, growth, rounds)
-            if PROGRESS.enabled:
-                PROGRESS.emit(
-                    "reorder.finish",
-                    nodes=self._live_size(live),
-                    swaps=st.swaps - swaps0,
-                )
-        after = self._live_size(live)
-        st.reorders += 1
-        st.reorder_nodes_before += before
-        st.reorder_nodes_after += after
-        self.clear_caches()
-        total = len(self._level) - 2
-        self._last_reorder_size = total
-        self._auto_limit = max(self._auto_min_nodes, 2 * total)
-        return {
-            "method": method,
-            "nodes_before": before,
-            "nodes_after": after,
-            "swaps": st.swaps - swaps0,
-        }
-
-    def _run_sift(
-        self,
-        blocks: list[list[str]],
-        roots: list[int],
-        growth: float,
-        rounds: int,
-    ) -> None:
-        for _ in range(max(1, rounds)):
-            if not self._sift_pass(blocks, roots, growth):
-                break
-
-    # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> bytes:
         """Serialize the full node store to bytes.
 
         Wire form: magic, a little-endian ``uint32`` header length, a JSON
-        header (variables in current order, reorder groups and config,
-        node/allocation counts), then the ``_level``, ``_low`` and
+        header (variables in order, node/allocation counts), then the ``_level``, ``_low`` and
         ``_high`` arrays as raw 64-bit little-endian integers — one
         packing pass over flat arrays, no per-node Python objects.
         Restoring rehashes the per-level subtables in one linear pass,
@@ -688,16 +305,10 @@ class BDD:
         reader (true for the fork/spawn process pools it serves).
         """
         header = {
-            "version": 1,
+            "version": 2,
             "vars": list(self._var_names),
-            "groups": [list(g) for g in self._groups],
-            "roots": list(self._roots),
-            "reorder": self.reorder_mode,
-            "auto_min_nodes": self._auto_min_nodes,
-            "max_growth": self._max_growth,
             "nodes": len(self._level),
             "nodes_allocated": self.nodes_allocated,
-            "last_reorder_size": self._last_reorder_size,
         }
         blob = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
         parts = [_SNAPSHOT_MAGIC, struct.pack("<I", len(blob)), blob]
@@ -721,7 +332,7 @@ class BDD:
         except ValueError as exc:
             raise BddError(f"corrupt BDD snapshot header: {exc}") from None
         off += hlen
-        if header.get("version") != 1:
+        if header.get("version") != 2:
             raise BddError(
                 f"unsupported snapshot version {header.get('version')!r}"
             )
@@ -738,20 +349,7 @@ class BDD:
         self._level, self._low, self._high = fields
         self._var_names = list(header["vars"])
         self._var_index = {name: lvl for lvl, name in enumerate(self._var_names)}
-        self._groups = []
-        self._group_of = {}
-        for names in header["groups"]:
-            gid = len(self._groups)
-            self._groups.append(tuple(names))
-            for name in names:
-                self._group_of[name] = gid
-        self._roots = [int(u) for u in header["roots"]]
-        self._root_set = set(self._roots)
         self.nodes_allocated = int(header["nodes_allocated"])
-        self._last_reorder_size = int(header["last_reorder_size"])
-        self._configure_reorder(
-            header["reorder"], header["auto_min_nodes"], header["max_growth"]
-        )
         # rebuild the per-level unique subtables: one linear rehash pass
         tables: list[dict[tuple[int, int], int]] = [
             {} for _ in self._var_names
@@ -774,8 +372,6 @@ class BDD:
     # ------------------------------------------------------------------
     def ite(self, f: int, g: int, h: int) -> int:
         """``if f then g else h`` — the universal ROBDD connective."""
-        if self._auto:
-            self._maybe_reorder()
         return self._ite_rec(f, g, h)
 
     def _ite_rec(self, f: int, g: int, h: int) -> int:
@@ -949,9 +545,6 @@ class BDD:
         previously seen function (or a previous negation result) is a
         single dict probe.  The first negation of a function is one pass
         over its DAG, not an ``ite`` recursion.
-
-        (No auto-reorder check here: the xor kernel calls this from
-        inside its recursion, where a reorder would corrupt the frame.)
         """
         cache = self._neg_cache
         c = self._c_neg
@@ -987,8 +580,6 @@ class BDD:
         operator dispatches to a specialized kernel (plus the negation
         table) — no throwaway ``ite`` intermediates are built.
         """
-        if self._auto:
-            self._maybe_reorder()
         if op == "and":
             return self._and_rec(u, v)
         if op == "or":
@@ -1014,8 +605,6 @@ class BDD:
         of a left-fold, so no single lopsided accumulator is dragged
         through every combination step.
         """
-        if self._auto:
-            self._maybe_reorder()
         items = [u for u in us if u != TRUE]
         if not items:
             return TRUE
@@ -1034,8 +623,6 @@ class BDD:
 
         Balanced-tree fold, like :meth:`conj`.
         """
-        if self._auto:
-            self._maybe_reorder()
         items = [u for u in us if u != FALSE]
         if not items:
             return FALSE
@@ -1051,8 +638,6 @@ class BDD:
 
     def cube(self, assignment: Mapping[str, bool]) -> int:
         """Conjunction of literals described by a {name: bool} mapping."""
-        if self._auto:
-            self._maybe_reorder()
         acc = TRUE
         for name in sorted(assignment, key=self.level_of, reverse=True):
             lit = self.var(name) if assignment[name] else self.nvar(name)
@@ -1064,8 +649,6 @@ class BDD:
     # ------------------------------------------------------------------
     def exists(self, names: Iterable[str], u: int) -> int:
         """Existential quantification over the given variables."""
-        if self._auto:
-            self._maybe_reorder()
         levels = frozenset(self.level_of(n) for n in names)
         if not levels:
             return u
@@ -1073,8 +656,6 @@ class BDD:
 
     def forall(self, names: Iterable[str], u: int) -> int:
         """Universal quantification over the given variables."""
-        if self._auto:
-            self._maybe_reorder()
         levels = frozenset(self.level_of(n) for n in names)
         if not levels:
             return u
@@ -1136,8 +717,6 @@ class BDD:
         transition relation) is never materialized, which is the standard
         image-computation optimization in symbolic model checkers.
         """
-        if self._auto:
-            self._maybe_reorder()
         levels = frozenset(self.level_of(n) for n in names)
         if not levels:
             return self._and_rec(u, v)
@@ -1213,13 +792,9 @@ class BDD:
         The mapping must be *order-preserving on the support of* ``u``:
         relabeled levels must remain strictly increasing along every path.
         This holds for the interleaved current/next variable orders used by
-        the model checker (``a ↦ a'`` with ``a'`` grouped directly below
-        ``a`` — the pairing survives reordering because the variables are
-        sifted as one block).  A non-monotone mapping raises
-        :class:`BddError`.
+        the model checker (``a ↦ a'`` with ``a'`` declared directly below
+        ``a``).  A non-monotone mapping raises :class:`BddError`.
         """
-        if self._auto:
-            self._maybe_reorder()
         level_map = {self.level_of(a): self.level_of(b) for a, b in mapping.items()}
         support = sorted(self.level_of(n) for n in self.support(u))
         mapped = [level_map.get(lv, lv) for lv in support]
@@ -1265,8 +840,6 @@ class BDD:
 
     def restrict(self, u: int, assignment: Mapping[str, bool]) -> int:
         """Cofactor: fix the given variables to constants."""
-        if self._auto:
-            self._maybe_reorder()
         values = {self.level_of(n): bool(b) for n, b in assignment.items()}
         return self._restrict(u, values, {})
 

@@ -1,7 +1,7 @@
 """Derived BDD operations that do not need access to manager internals.
 
 These helpers work on top of the public :class:`repro.bdd.manager.BDD`
-interface: transferring functions between managers (used by the reordering
+interface: transferring functions between managers (used by the order
 module), evaluating a BDD on a concrete assignment, and structural
 utilities used by the test suite.
 """

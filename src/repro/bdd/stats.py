@@ -70,12 +70,6 @@ class BDDStats:
 
     mk_calls: int = 0
     peak_unique_nodes: int = 0
-    #: Completed :meth:`BDD.reorder` runs / adjacent-level swaps they made.
-    reorders: int = 0
-    swaps: int = 0
-    #: Interned node totals summed over reorder runs (before vs after).
-    reorder_nodes_before: int = 0
-    reorder_nodes_after: int = 0
     ops: dict[str, OpCounter] = field(default_factory=_fresh_ops)
 
     @property
@@ -100,10 +94,6 @@ class BDDStats:
         return BDDStats(
             mk_calls=self.mk_calls,
             peak_unique_nodes=self.peak_unique_nodes,
-            reorders=self.reorders,
-            swaps=self.swaps,
-            reorder_nodes_before=self.reorder_nodes_before,
-            reorder_nodes_after=self.reorder_nodes_after,
             ops={
                 name: OpCounter(c.lookups, c.hits, c.inserts)
                 for name, c in self.ops.items()
@@ -119,12 +109,6 @@ class BDDStats:
         return BDDStats(
             mk_calls=self.mk_calls - since.mk_calls,
             peak_unique_nodes=self.peak_unique_nodes,
-            reorders=self.reorders - since.reorders,
-            swaps=self.swaps - since.swaps,
-            reorder_nodes_before=self.reorder_nodes_before
-            - since.reorder_nodes_before,
-            reorder_nodes_after=self.reorder_nodes_after
-            - since.reorder_nodes_after,
             ops={
                 name: OpCounter(
                     c.lookups - since.ops[name].lookups,
@@ -139,10 +123,6 @@ class BDDStats:
         return {
             "mk_calls": self.mk_calls,
             "peak_unique_nodes": self.peak_unique_nodes,
-            "reorders": self.reorders,
-            "swaps": self.swaps,
-            "reorder_nodes_before": self.reorder_nodes_before,
-            "reorder_nodes_after": self.reorder_nodes_after,
             "cache_lookups": self.cache_lookups,
             "cache_hits": self.cache_hits,
             "cache_inserts": self.cache_inserts,
@@ -158,12 +138,6 @@ class BDDStats:
             f"computed tables: {self.cache_lookups} lookups, "
             f"{self.hit_rate:.1%} hits",
         ]
-        if self.reorders:
-            lines.append(
-                f"reorders: {self.reorders} ({self.swaps} swaps, "
-                f"{self.reorder_nodes_before} -> "
-                f"{self.reorder_nodes_after} nodes)"
-            )
         for name in OP_NAMES:
             c = self.ops[name]
             if c.lookups or c.inserts:

@@ -174,7 +174,7 @@ def client_source_variant(i: int = 1, rename: bool = True) -> str:
     unchanged; but the elaborated module's canonical text differs, so
     the edited client's obligation fingerprints miss while Σ* and every
     other component's records are untouched.  This is the "edit one
-    component" step of the incremental benchmark and smoke test.
+    component" step of ``tests/store/test_incremental_proof.py``.
     """
     source = client_source(i, rename)
     b = f"Client{i}.belief" if rename else "belief"

@@ -21,14 +21,13 @@ from repro.systems.symbolic import SymbolicSystem
 from repro.systems.system import System
 
 # Process-wide memos keyed by source text.  Elaboration and symbolic
-# compilation are pure functions of the source (plus the reorder mode
-# the BDD manager was created under), and study objects are rebuilt per
-# proof — without the memos an incremental *re*check would pay the full
-# compile cost for components whose obligations all replay from the
-# store.  Bounded FIFO: component sets are tiny in practice.
+# compilation are pure functions of the source, and study objects are
+# rebuilt per proof — without the memos an incremental *re*check would
+# pay the full compile cost for components whose obligations all replay
+# from the store.  Bounded FIFO: component sets are tiny in practice.
 _MEMO_CAP = 64
 _MODEL_MEMO: dict[str, SmvModel] = {}
-_SYMBOLIC_MEMO: dict[tuple[str, bool, str], SymbolicSystem] = {}
+_SYMBOLIC_MEMO: dict[tuple[str, bool], SymbolicSystem] = {}
 
 
 def _memo_put(memo: dict, key, value):
@@ -74,13 +73,11 @@ class ProtocolComponent:
         The SMV source rides along (``smv_source``/``smv_reflexive``)
         so the parallel engine can rebuild the system in worker
         processes (:func:`repro.parallel.workitem.spec_of_component`).
-        Compiled systems are shared per ``(source, reflexive, reorder
-        mode)``: components are immutable value objects, so a recheck of
-        an unchanged component reuses the compiled relation.
+        Compiled systems are shared per ``(source, reflexive)``:
+        components are immutable value objects, so a recheck of an
+        unchanged component reuses the compiled relation.
         """
-        from repro.bdd.manager import default_reorder
-
-        key = (self.source, reflexive, default_reorder())
+        key = (self.source, reflexive)
         sym = _SYMBOLIC_MEMO.get(key)
         if sym is None:
             sym = to_symbolic(self.model, reflexive=reflexive)

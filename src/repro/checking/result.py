@@ -40,14 +40,6 @@ class CheckStats:
     bdd_cache_hits: int = 0
     bdd_mk_calls: int = 0
     bdd_peak_unique_nodes: int = 0
-    #: Dynamic-reordering activity: completed sift runs, adjacent-level
-    #: swaps, and root node counts summed before/after.  Cumulative
-    #: manager-level numbers (like ``bdd_nodes_allocated``) — sift-once
-    #: mode reorders at compile time, outside any one check's window.
-    reorders: int = 0
-    reorder_swaps: int = 0
-    reorder_nodes_before: int = 0
-    reorder_nodes_after: int = 0
     bdd_op_counters: dict = field(default_factory=dict)
 
     @property
@@ -84,12 +76,6 @@ class CheckStats:
                 f"BDD unique table: peak {self.bdd_peak_unique_nodes} nodes "
                 f"({self.bdd_mk_calls} mk calls)"
             )
-        if self.reorders:
-            lines.append(
-                f"BDD reorders: {self.reorders} ({self.reorder_swaps} swaps, "
-                f"{self.reorder_nodes_before} -> "
-                f"{self.reorder_nodes_after} nodes)"
-            )
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -104,10 +90,6 @@ class CheckStats:
             "bdd_cache_hits": self.bdd_cache_hits,
             "bdd_mk_calls": self.bdd_mk_calls,
             "bdd_peak_unique_nodes": self.bdd_peak_unique_nodes,
-            "reorders": self.reorders,
-            "reorder_swaps": self.reorder_swaps,
-            "reorder_nodes_before": self.reorder_nodes_before,
-            "reorder_nodes_after": self.reorder_nodes_after,
             "bdd_op_counters": {
                 name: dict(counter)
                 for name, counter in self.bdd_op_counters.items()
@@ -128,10 +110,6 @@ class CheckStats:
             "bdd_cache_hits": int,
             "bdd_mk_calls": int,
             "bdd_peak_unique_nodes": int,
-            "reorders": int,
-            "reorder_swaps": int,
-            "reorder_nodes_before": int,
-            "reorder_nodes_after": int,
         }
         kwargs = {
             name: cast(data[name])
@@ -167,14 +145,6 @@ class CheckStats:
             out.bdd_mk_calls += s.bdd_mk_calls
             out.bdd_peak_unique_nodes = max(
                 out.bdd_peak_unique_nodes, s.bdd_peak_unique_nodes
-            )
-            out.reorders = max(out.reorders, s.reorders)
-            out.reorder_swaps = max(out.reorder_swaps, s.reorder_swaps)
-            out.reorder_nodes_before = max(
-                out.reorder_nodes_before, s.reorder_nodes_before
-            )
-            out.reorder_nodes_after = max(
-                out.reorder_nodes_after, s.reorder_nodes_after
             )
         return out
 

@@ -319,13 +319,6 @@ class SymbolicChecker:
                 bdd_cache_hits=engine.cache_hits,
                 bdd_mk_calls=engine.mk_calls,
                 bdd_peak_unique_nodes=engine.peak_unique_nodes,
-                # cumulative manager-level (like bdd_nodes_allocated):
-                # the sift-once mode reorders at compile time, before
-                # this check's stats window opens
-                reorders=self.bdd.stats.reorders,
-                reorder_swaps=self.bdd.stats.swaps,
-                reorder_nodes_before=self.bdd.stats.reorder_nodes_before,
-                reorder_nodes_after=self.bdd.stats.reorder_nodes_after,
                 bdd_op_counters={
                     name: c.as_dict() for name, c in engine.ops.items()
                 },

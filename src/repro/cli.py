@@ -91,20 +91,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_reorder_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--reorder",
-        choices=("none", "sift", "auto"),
-        default=None,
-        metavar="MODE",
-        help="dynamic BDD variable reordering: 'sift' runs one sifting "
-        "pass after the transition partitions are built, 'auto' re-sifts "
-        "whenever the unique table doubles, 'none' (default) keeps the "
-        "declared order; verdicts and certificates are identical in "
-        "every mode",
-    )
-
-
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
@@ -241,7 +227,6 @@ def _check_parallel(args: argparse.Namespace, source: str, model) -> int:
     Failing specs are re-examined in-process to decode counterexample
     traces, so the report matches a sequential run.
     """
-    from repro.bdd.manager import default_reorder
     from repro.checking.result import CheckStats
     from repro.logic.ctl import TRUE as F_TRUE
     from repro.obs.tracer import TRACER
@@ -261,9 +246,6 @@ def _check_parallel(args: argparse.Namespace, source: str, model) -> int:
             restriction=restriction,
             engine=engine,
             label=f"spec{i}",
-            # stamped explicitly: a long-lived shared pool may predate
-            # this command's --reorder choice
-            reorder=default_reorder(),
         )
         for i, spec in enumerate(model.specs)
     ]
@@ -418,7 +400,7 @@ def _demo_body(args: argparse.Namespace) -> int:
     obligations = {
         id(o) for s in pf.log for leaf in s.leaves() for o in leaf.obligations
     }
-    print(f"demo: {args.name}{_DEMOS[args.name]}")
+    print(f"demo: {args.name} — {_DEMOS[args.name]}")
     print()
     print(f"components: {', '.join(sorted(pf.components))}")
     print(f"composite alphabet: {len(pf.sigma_star)} atomic propositions")
@@ -806,7 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cache hits, verdicts) to stderr while checking",
     )
     _add_jobs_flag(check)
-    _add_reorder_flag(check)
     _add_observability_flags(check)
     check.set_defaults(func=_cmd_check)
 
@@ -848,7 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
         "obligations already recorded are replayed without re-checking",
     )
     _add_jobs_flag(demo)
-    _add_reorder_flag(demo)
     _add_observability_flags(demo)
     demo.set_defaults(func=_cmd_demo)
 
@@ -1114,14 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    reorder = getattr(args, "reorder", None)
-    previous_reorder = None
-    if reorder is not None:
-        # the mode applies to every manager the command builds; restored
-        # afterwards so in-process callers (tests) stay isolated
-        from repro.bdd.manager import set_default_reorder
-
-        previous_reorder = set_default_reorder(reorder)
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -1137,11 +1109,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"repro: {exc}", file=sys.stderr)
             return 2
         raise
-    finally:
-        if previous_reorder is not None:
-            from repro.bdd.manager import set_default_reorder
-
-            set_default_reorder(previous_reorder)
 
 
 if __name__ == "__main__":

@@ -388,7 +388,6 @@ class CompositionProof:
         round-trip.  A hit is bound to the obligation in hand: a record
         written for another formula or restriction is a miss.
         """
-        from repro.bdd.manager import default_reorder
         from repro.parallel.pool import shared_scheduler
         from repro.parallel.workitem import WorkItem
 
@@ -413,7 +412,6 @@ class CompositionProof:
                     engine=self._backend.kind,
                     expand_to=tuple(sorted(extra)),
                     label=name,
-                    reorder=default_reorder(),
                     progress_key=progress.key if progress is not None else "",
                     progress_obligation=(
                         f"{progress.prefix}{name}"
@@ -1107,7 +1105,6 @@ class CompositionProof:
         specs, so it is constructed once per worker, then every
         conclusion is one independent work item.
         """
-        from repro.bdd.manager import default_reorder
         from repro.parallel.pool import shared_scheduler
         from repro.parallel.workitem import ComposeSpec, WorkItem
 
@@ -1121,7 +1118,6 @@ class CompositionProof:
                 restriction=proven.restriction,
                 engine=self._backend.kind,
                 label="verify_monolithic",
-                reorder=default_reorder(),
             )
             for proven in self.conclusions
         ]
@@ -1139,8 +1135,9 @@ class CompositionProof:
 
         One entry per discharged obligation, in discharge order:
         component, fingerprint, whether it was replayed from the store,
-        and the verdict — the artifact the incremental smoke test
-        asserts on ("only the edited component's obligations ran").
+        and the verdict — the artifact
+        ``tests/store/test_incremental_proof.py`` asserts on ("only the
+        edited component's obligations ran").
         """
         return self.cache.ledger_dict() if self.cache is not None else None
 

@@ -142,10 +142,6 @@ class MetricsRegistry:
             "bdd_cache_hits",
             "bdd_mk_calls",
             "bdd_peak_unique_nodes",
-            "reorders",
-            "reorder_swaps",
-            "reorder_nodes_before",
-            "reorder_nodes_after",
         ):
             value = getattr(stats, field, 0)
             if value:
@@ -165,9 +161,6 @@ class MetricsRegistry:
                 f"{prefix}.peak_unique_nodes",
                 delta.get("peak_unique_nodes", 0),
             )
-            for name in ("reorders", "swaps"):
-                if delta.get(name):
-                    self.add(f"{prefix}.{name}", delta[name])
             for op_name, counter in delta.get("ops", {}).items():
                 if counter.get("lookups") or counter.get("inserts"):
                     self.add(f"{prefix}.{op_name}.lookups", counter["lookups"])
@@ -179,10 +172,6 @@ class MetricsRegistry:
             f"{prefix}.peak_unique_nodes",
             getattr(delta, "peak_unique_nodes", 0),
         )
-        for name in ("reorders", "swaps"):
-            value = getattr(delta, name, 0)
-            if value:
-                self.add(f"{prefix}.{name}", value)
         for op_name, counter in getattr(delta, "ops", {}).items():
             if counter.lookups or counter.inserts:
                 self.add(f"{prefix}.{op_name}.lookups", counter.lookups)

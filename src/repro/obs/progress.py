@@ -2,8 +2,8 @@
 
 Spans (:mod:`repro.obs.tracer`) reconstruct *what happened* after a run
 finishes; progress events answer *what is happening now*: a wedged
-fixpoint, a runaway reorder, or an obligation quietly waiting in a
-queue are indistinguishable from normal work without a heartbeat.  The
+fixpoint or an obligation quietly waiting in a queue are
+indistinguishable from normal work without a heartbeat.  The
 module has three pieces:
 
 * :data:`PROGRESS` — a process-wide :class:`ProgressEmitter` the
@@ -34,8 +34,8 @@ Event shape (one dict per event; ``seq``/``ts`` added at the bus)::
 
 Kinds: ``obligation.queued`` / ``obligation.start`` /
 ``obligation.tick`` / ``obligation.cache_hit`` / ``obligation.finish``
-/ ``obligation.result``, ``reorder.start`` / ``reorder.finish``,
-``obligation.stall`` (watchdog), and ``job.state`` (serving layer).
+/ ``obligation.result``, ``obligation.stall`` (watchdog), and
+``job.state`` (serving layer).
 
 In worker processes the sink is a ``put_nowait`` onto a
 multiprocessing queue created alongside the pool
@@ -320,8 +320,6 @@ def format_progress_event(event: dict, rate: float | None = None) -> str:
             f" {event.get('idle_seconds', 0.0):g}s"
             f" (deadline {event.get('deadline', 0.0):g}s)"
         )
-    if kind.startswith("reorder."):
-        return f"{name} {kind} nodes={event.get('nodes', '?')}"
     if kind == "job.state":
         return f"job {event.get('state', '?')}"
     rest = " ".join(

@@ -8,7 +8,7 @@ system spec, runs the check, and ships back a
 stats delta, and — when the parent is tracing — the recorded span tree
 as JSONL records plus the wall-clock origin needed to rebase them.
 
-The cache is keyed by ``(spec, engine, expand_to, reorder)``: a pool worker
+The cache is keyed by ``(spec, engine, expand_to)``: a pool worker
 builds each component expansion (a one-component
 :func:`~repro.systems.symbolic.composite_view`) once and reuses the
 checker for every later obligation on the same system — the process-pool
@@ -58,12 +58,10 @@ _PROGRESS_QUEUE = None
 #: layer's stall watchdog.
 STALL_HOOK_ENV = "REPRO_PROGRESS_TEST_STALL"
 
-#: Per-process cache: (spec, engine, expand_to, reorder) → ``[checker,
-#: batch]``, the batch being the one whose items last used the checker.
+#: Per-process cache: (spec, engine, expand_to) → ``[checker, batch]``,
+#: the batch being the one whose items last used the checker.
 _CHECKERS: dict = {}
-#: Per-process cache: (spec, engine, reorder) → built component/composite
-#: system.  ``reorder`` is the manager default in force at build time —
-#: a system sifted under one mode must not be served for another.
+#: Per-process cache: (spec, engine) → built component/composite system.
 _SYSTEMS: dict = {}
 #: FIFO bound on each cache: a long-lived worker serving ever-new specs
 #: (a server's novel checks) would otherwise keep every manager alive.
@@ -139,9 +137,7 @@ def build_system(spec: SystemSpec, engine: str):
 
 
 def _cached_system(spec: SystemSpec, engine: str):
-    from repro.bdd.manager import default_reorder
-
-    key = (spec, engine, default_reorder())
+    key = (spec, engine)
     system = _SYSTEMS.get(key)
     if system is None:
         system = _cache_put(_SYSTEMS, key, build_system(spec, engine))
@@ -160,12 +156,11 @@ def checker_for(
     ``batch`` that last used it; otherwise (``batch`` ``None`` included)
     it is reset first.
     """
-    from repro.bdd.manager import default_reorder
     from repro.compositional.proof import _Backend
     from repro.systems.system import System
     from repro.systems.symbolic import SymbolicSystem
 
-    key = (spec, engine, expand_to, default_reorder())
+    key = (spec, engine, expand_to)
     entry = _CHECKERS.get(key)
     if entry is not None:
         checker, last_batch = entry
@@ -207,17 +202,12 @@ def run_work_item(item: WorkItem, batch: int | None = None) -> WorkOutcome:
     ``batch`` identifies the scheduler batch the item belongs to (see
     :func:`checker_for`); ``None`` treats the item as a batch of its own.
     """
-    from repro.bdd.manager import set_default_reorder
-
     record = item.record_spans
     if record:
         TRACER.reset()
         TRACER.enabled = True
     else:
         TRACER.enabled = False
-    previous_reorder = (
-        set_default_reorder(item.reorder) if item.reorder is not None else None
-    )
     progress = bool(item.progress_key) and _PROGRESS_QUEUE is not None
     if progress:
         fields = dict(
@@ -260,10 +250,6 @@ def run_work_item(item: WorkItem, batch: int | None = None) -> WorkOutcome:
             bdd = {
                 "mk_calls": delta.mk_calls,
                 "peak_unique_nodes": delta.peak_unique_nodes,
-                "reorders": delta.reorders,
-                "swaps": delta.swaps,
-                "reorder_nodes_before": delta.reorder_nodes_before,
-                "reorder_nodes_after": delta.reorder_nodes_after,
                 "ops": {
                     name: counter.as_dict()
                     for name, counter in delta.ops.items()
@@ -305,8 +291,6 @@ def run_work_item(item: WorkItem, batch: int | None = None) -> WorkOutcome:
             fingerprint=item.fingerprint,
         )
     finally:
-        if previous_reorder is not None:
-            set_default_reorder(previous_reorder)
         TRACER.enabled = False
         PROGRESS.deactivate()
 

@@ -142,10 +142,6 @@ class WorkItem:
     #: stamps it on every span it records, so grafted worker spans share
     #: the submitting request's trace instead of pid-only tags.
     trace_id: str = ""
-    #: Reorder mode for worker-built managers (``none``/``sift``/``auto``);
-    #: ``None`` keeps the worker's inherited default.  Part of the
-    #: worker's checker cache key.
-    reorder: str | None = None
     #: Routing key for live progress events: when non-empty, the worker
     #: activates :data:`~repro.obs.progress.PROGRESS` for this item and
     #: every event is tagged with the key so the parent-side drainer

@@ -114,10 +114,6 @@ def to_symbolic(
         partitions.append(partition)
     sym.groups = [(frozenset(sym.atoms), partitions)]
     sym.stutter = reflexive
-    if bdd.reorder_mode == "sift":
-        # sift once, after the partitions exist — the "auto" mode
-        # instead re-sifts whenever the table doubles
-        sym.reorder()
     return sym
 
 

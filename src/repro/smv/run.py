@@ -102,13 +102,6 @@ class SmvReport:
                 f"BDD unique table: peak {merged.bdd_peak_unique_nodes} "
                 f"nodes ({merged.bdd_mk_calls} mk calls)"
             )
-            if merged.reorders:
-                lines.append(
-                    f"BDD reorders: {merged.reorders} "
-                    f"({merged.reorder_swaps} swaps, "
-                    f"{merged.reorder_nodes_before} -> "
-                    f"{merged.reorder_nodes_after} nodes)"
-                )
             lines.append(
                 f"fixpoint iterations: {merged.fixpoint_iterations}"
             )

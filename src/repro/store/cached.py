@@ -347,7 +347,6 @@ def _run_scheduled(
     """Fan the missing specs out over a worker pool; failed symbolic
     specs are re-examined in-process to decode counterexample traces
     (exactly as the sequential engine would report them)."""
-    from repro.bdd.manager import default_reorder
     from repro.parallel import SmvSpec, WorkItem
 
     system_spec = SmvSpec(source=source, reflexive=reflexive)
@@ -359,10 +358,6 @@ def _run_scheduled(
             engine=engine,
             label=f"spec{i}",
             trace_id=trace_id,
-            # reorder changes cost, never verdicts, so it joins the work
-            # item (workers may predate the caller's mode) but NOT the
-            # store fingerprints — records replay across modes
-            reorder=default_reorder(),
             progress_key=progress.key if progress is not None else "",
             progress_obligation=(
                 progress.obligation(i) if progress is not None else ""

@@ -20,9 +20,8 @@ Four fingerprint kinds exist:
   compositional calculus: a component's behavior
   (:func:`component_fingerprint`), the composite alphabet Σ* the
   component is expanded over, the obligation formula, the restriction,
-  the engine, and the engine options **including the reorder mode** —
-  editing one component of an AFS-style proof invalidates exactly that
-  component's obligations;
+  the engine and its options — editing one component of an AFS-style
+  proof invalidates exactly that component's obligations;
 * :func:`proof_fingerprint` — a whole proof run, keyed by the
   *multiset* of its obligation fingerprints.
 
@@ -61,7 +60,9 @@ __all__ = [
 #: (mk calls, cache lookups) are the view's.
 #: 3: ``transition_nodes`` counts the relation the checker holds, the
 #: summed node counts of its partitions, not the product relation's.
-STORE_SCHEMA_VERSION = 3
+#: 4: the BDD variable order is fixed, so stored stats drop their
+#: dynamic-ordering counters and obligation fingerprints their mode.
+STORE_SCHEMA_VERSION = 4
 
 
 def fingerprint_payload(payload: dict) -> str:
@@ -280,11 +281,7 @@ def obligation_fingerprint(
     :func:`component_fingerprint` digest (callers discharging many
     obligations per component cache the digest).
 
-    Unlike :func:`spec_fingerprint`, ``options`` here includes the BDD
-    **reorder mode**: obligation records feed proof certificates whose
-    byte-identity guarantee is stated per engine configuration, so each
-    mode keeps its own records.  ``text`` is as for
-    :func:`spec_fingerprint`.
+    ``options`` and ``text`` are as for :func:`spec_fingerprint`.
     """
     digest = (
         component

@@ -6,9 +6,8 @@ Srv1–Srv5's certificates outlive client edits.  An
 obligation of a :class:`~repro.compositional.proof.CompositionProof` is
 content-addressed by :func:`~repro.store.fingerprint.obligation_fingerprint`
 (the component's elaborated behavior, the composite alphabet Σ*, the
-formula, the restriction, the engine and its options including the
-reorder mode), and the proof engine probes the cache before discharging
-anything.  A hit replays the stored
+formula, the restriction and the engine), and the proof engine probes
+the cache before discharging anything.  A hit replays the stored
 :class:`~repro.checking.result.CheckResult` byte-identically (stats,
 counterexamples, certificate text), rebuilt around the formula and
 restriction in hand — a record whose formula or restriction text differs
@@ -72,41 +71,18 @@ class ObligationCache:
         ``"explicit"`` or ``"symbolic"`` — part of every fingerprint.
     sigma_star:
         The composite alphabet the proof expands components over.
-    options:
-        Engine options folded into every obligation fingerprint.
-        ``None`` (the default) resolves to ``{"reorder": <mode>}`` from
-        the process-wide :func:`~repro.bdd.manager.default_reorder` at
-        each fingerprint call — obligation records are per reorder mode
-        (unlike spec records), because their replayed stats feed
-        certificates whose byte-identity guarantee is stated per engine
-        configuration.
 
     Component digests are memoized per component *name*, so a proof
     discharging many obligations on the same component canonicalizes
     its behavior once.
     """
 
-    def __init__(
-        self,
-        store: ResultStore,
-        engine: str,
-        sigma_star,
-        options: dict | None = None,
-    ):
+    def __init__(self, store: ResultStore, engine: str, sigma_star):
         self.store = store
         self.engine = engine
         self.sigma_star = tuple(sorted(sigma_star))
-        self.options = dict(options) if options is not None else None
         self._digests: dict[str, str] = {}
         self.ledger: list[ObligationLedgerEntry] = []
-
-    def current_options(self) -> dict:
-        """The engine options joining every fingerprint right now."""
-        if self.options is not None:
-            return dict(self.options)
-        from repro.bdd.manager import default_reorder
-
-        return {"reorder": default_reorder()}
 
     # -- fingerprints ----------------------------------------------------
     def component_digest(self, name: str, system) -> str:
@@ -129,7 +105,6 @@ class ObligationCache:
             formula,
             restriction,
             self.engine,
-            self.current_options(),
             text=text,
         )
         return fingerprint, text
@@ -191,11 +166,11 @@ class ObligationCache:
         return sum(1 for entry in self.ledger if not entry.cached)
 
     def ledger_dict(self) -> dict:
-        """The ledger as a JSON-safe document (the smoke-test artifact)."""
+        """The ledger as a JSON-safe document (the artifact
+        ``tests/store/test_incremental_proof.py`` asserts on)."""
         return {
             "engine": self.engine,
             "sigma_star": list(self.sigma_star),
-            "options": self.current_options(),
             "hits": self.hits,
             "misses": self.misses,
             "proof_fingerprint": self.proof_digest(),

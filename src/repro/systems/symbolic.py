@@ -86,10 +86,6 @@ class SymbolicSystem:
             for a in self.atoms:
                 bdd.add_var(a)
                 bdd.add_var(primed(a))
-                # sift the pair as one block: any reordering then keeps
-                # a' directly below a, so the current→next rename stays
-                # order-preserving under every variable order
-                bdd.group(a, primed(a))
         self.bdd = bdd
         for a in self.atoms:
             if a not in bdd.var_names or primed(a) not in bdd.var_names:
@@ -105,8 +101,7 @@ class SymbolicSystem:
         #: ``(groups or transition, Id ⊆ R)`` for the last relation
         #: :meth:`is_reflexive` decided (node ids never change meaning).
         self._reflexive: tuple | None = None
-        #: ``((groups or transition, reorders), nodes)`` for
-        #: :meth:`node_count`.
+        #: ``(groups or transition, nodes)`` for :meth:`node_count`.
         self._nodes: tuple | None = None
 
     @property
@@ -124,7 +119,6 @@ class SymbolicSystem:
             if self.stutter or not self.groups:
                 t = bdd.apply("or", t, self.identity_relation())
             self._transition = t
-            bdd.add_reorder_root(t)
         return self._transition
 
     @transition.setter
@@ -199,23 +193,6 @@ class SymbolicSystem:
         if reflexive:
             t = self.bdd.apply("or", t, self.identity_relation())
         self.transition = t
-        self.bdd.add_reorder_root(t)
-
-    def reorder(self, method: str = "sift", **kwargs) -> dict[str, int | str]:
-        """Sift the variable order for this system's relations.
-
-        Registers the transition relation (if built) and any conjunctive
-        partitions as reorder roots and runs :meth:`BDD.reorder`.  All
-        previously returned node ids stay valid — reordering changes
-        cost, never results.
-        """
-        bdd = self.bdd
-        if self._transition is not None:
-            bdd.add_reorder_root(self._transition)
-        for _, parts in self.groups:
-            for p in parts:
-                bdd.add_reorder_root(p)
-        return bdd.reorder(method, **kwargs)
 
     def state_cube(self, state: frozenset, next_state: bool = False) -> int:
         """BDD of one concrete state (as a full assignment of the atoms)."""
@@ -240,9 +217,6 @@ class SymbolicSystem:
         if system.reflexive:
             edges.append(sym.identity_relation())
         sym.transition = sym.bdd.disj(edges)
-        sym.bdd.add_reorder_root(sym.transition)
-        if sym.bdd.reorder_mode == "sift":
-            sym.reorder()
         return sym
 
     def to_explicit(self) -> System:
@@ -404,7 +378,7 @@ class SymbolicSystem:
 
     def node_count(self) -> int:
         """BDD nodes representing the relation the checker holds (SMV
-        metric), counted once per relation and variable order: the sum
+        metric), counted once per relation: the sum
         of the partitions' own counts (``transition``'s alone for a
         system without groups), as NuSMV reports a partitioned relation.
 
@@ -413,7 +387,7 @@ class SymbolicSystem:
         """
         if self._view_nodes is not None:
             return self._view_nodes
-        key = (self.groups or self.transition, self.bdd.stats.reorders)
+        key = self.groups or self.transition
         if self._nodes is None or self._nodes[0] != key:
             count = sum(
                 self.bdd.node_count(p)
@@ -453,6 +427,4 @@ def composite_view(
     view.groups = groups
     view.stutter = True
     view._view_nodes = sum(m.node_count() for m in components)
-    if view.bdd.reorder_mode == "sift":
-        view.reorder()
     return view

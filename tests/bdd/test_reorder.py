@@ -1,10 +1,10 @@
-"""Tests for variable-ordering search (rebuild + sifting)."""
+"""Tests for measuring a variable order by rebuilding under it."""
 
 import pytest
 
 from repro.bdd.manager import BDD
 from repro.bdd.ops import evaluate
-from repro.bdd.reorder import rebuild_with_order, shared_size, sift
+from repro.bdd.order import rebuild_with_order, shared_size
 
 
 def _comparator():
@@ -49,18 +49,10 @@ def test_rebuild_rejects_non_permutation():
         rebuild_with_order([f], src, ["a0", "a1"])
 
 
-def test_sift_never_worse():
+def test_rebuild_error_names_the_problem_variables():
     src, f = _comparator()
-    before = shared_size(src, [f])
-    mgr, roots, order = sift([f], src, max_rounds=1)
-    assert shared_size(mgr, roots) <= before
-    assert sorted(order) == sorted(src.var_names)
-
-
-def test_sift_finds_interleaving_win():
-    src, f = _comparator()
-    mgr, roots, _ = sift([f], src, max_rounds=2)
-    dst, (g,) = rebuild_with_order(
-        [f], src, ["a0", "b0", "a1", "b1", "a2", "b2"]
-    )
-    assert shared_size(mgr, roots) <= shared_size(dst, [g])
+    with pytest.raises(ValueError) as err:
+        rebuild_with_order([f], src, ["a0", "a1", "zz"])
+    message = str(err.value)
+    assert "zz" in message  # extra
+    assert "b0" in message  # missing

@@ -211,26 +211,6 @@ class TestRunWorkItem:
             assert bool(outcome.result) is expected
             assert outcome.bdd is not None
 
-    def test_reorder_mode_is_part_of_the_cache_key(self):
-        item = WorkItem(
-            system=spec_of_component(CLIENT.symbolic()),
-            formula=parse_ctl("EF (r.0)"),
-            engine="symbolic",
-            reorder="none",
-        )
-        sifted = WorkItem(
-            system=item.system,
-            formula=item.formula,
-            engine="symbolic",
-            reorder="sift",
-        )
-        first = run_work_item(item)
-        assert not first.cached
-        other = run_work_item(sifted)
-        assert not other.cached  # different mode, different checker
-        assert bool(other.result) == bool(first.result)
-        assert run_work_item(item).cached
-
     def test_explicit_outcome_has_no_bdd_delta(self):
         item = WorkItem(
             system=spec_of_component(TokenRing(2).process(0)),

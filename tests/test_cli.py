@@ -405,3 +405,10 @@ class TestDemoCache:
     def test_demo_without_cache_prints_no_store_line(self, capsys):
         assert main(["demo", "mutex"]) == 0
         assert "result store" not in capsys.readouterr().err
+
+    def test_demo_header_separates_name_and_description(self, capsys):
+        assert main(["demo", "mutex"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == (
+            "demo: mutex — token-ring mutual exclusion, 3 processes"
+        )

@@ -3,13 +3,12 @@
 
     PYTHONPATH=src python tools/smoke.py [SCENARIO ...] [--artifact-dir DIR]
 
-Four scenarios, each a ``scenario_*`` function whose docstring lists its
-checks: ``obs`` (traced checks), ``reorder`` (reordering never changes a
-result), ``serve`` (one ``repro serve``) and ``cluster`` (two ring
-members, a router and a single-instance baseline, booted once).  No
-scenario named runs all four.  The first failed check prints ``FAIL``
-and exits 1; traces, metrics and job documents land in the artifact
-directory.
+Three scenarios, each a ``scenario_*`` function whose docstring lists its
+checks: ``obs`` (traced and pooled checks), ``serve`` (one ``repro
+serve``) and ``cluster`` (two ring members, a router and a
+single-instance baseline, booted once).  No scenario named runs all
+three.  The first failed check prints ``FAIL`` and exits 1; traces,
+metrics and job documents land in the artifact directory.
 """
 
 from __future__ import annotations
@@ -338,11 +337,32 @@ def prom_name(name: str, prefix: str) -> str:
 
 def scenario_obs(artifacts: pathlib.Path) -> None:
     """Figure 1 checked with the observability pipeline engaged: both
-    exporters and the profile renderer work outside the test harness."""
+    exporters and the profile renderer work outside the test harness.
+    A ``--jobs`` check prints the same verdict lines as the sequential
+    one (the reports carry wall-clock lines, so only those are
+    compared)."""
+
+    def verdicts(stdout: str) -> str:
+        lines = stdout.splitlines()
+        return "".join(f"{ln}\n" for ln in lines if ln.startswith("-- spec"))
+
     chrome = artifacts / "figure1.trace.json"
     jsonl = artifacts / "figure1.spans.jsonl"
     run_repro("check", FIGURE1, "--trace", chrome, "--profile")
-    run_repro("check", FIGURE1, "--trace", jsonl, "--trace-format", "jsonl")
+    sequential = verdicts(
+        run_repro(
+            "check", FIGURE1, "--trace", jsonl, "--trace-format", "jsonl"
+        ).stdout
+    )
+    if not sequential:
+        fail("figure1 check printed no '-- spec' verdict lines")
+    pooled = verdicts(run_repro("check", FIGURE1, "--jobs", JOBS).stdout)
+    if pooled != sequential:
+        diff = difflib.unified_diff(
+            sequential.splitlines(), pooled.splitlines(),
+            "check", f"check --jobs {JOBS}", lineterm="",
+        )
+        fail(f"check --jobs {JOBS} differs from check:\n" + "\n".join(diff))
     events = json.loads(chrome.read_text())["traceEvents"]
     if not any(e["ph"] == "X" for e in events):
         fail("the Chrome trace has no complete events")
@@ -354,34 +374,6 @@ def scenario_obs(artifacts: pathlib.Path) -> None:
     if not records or records[0]["id"] != 0:
         fail("the JSONL trace does not start at span id 0")
     print(f"chrome events: {len(events)}, jsonl spans: {len(records)}")
-
-
-def scenario_reorder(artifacts: pathlib.Path) -> None:
-    """Reordering changes BDD cost, never results.  The demo output
-    (proof tree, obligation report, conclusions) is timing-free, so it
-    is compared whole; check reports carry wall-clock lines, so only
-    their verdict lines are."""
-
-    def same(a: str, b: str, run_a: str, run_b: str) -> None:
-        if a != b:
-            diff = difflib.unified_diff(
-                a.splitlines(), b.splitlines(), run_a, run_b, lineterm=""
-            )
-            fail(f"{run_b} differs from {run_a}:\n" + "\n".join(diff))
-
-    def verdicts(*args) -> str:
-        lines = run_repro("check", FIGURE1, *args).stdout.splitlines()
-        return "".join(f"{ln}\n" for ln in lines if ln.startswith("-- spec"))
-
-    none = run_repro("demo", "afs1-safety", "--reorder", "none").stdout
-    sift = run_repro("demo", "afs1-safety", "--reorder", "sift").stdout
-    same(none, sift, "demo --reorder none", "demo --reorder sift")
-    plain = verdicts()
-    if not plain:
-        fail("figure1 check printed no '-- spec' verdict lines")
-    auto = verdicts("--reorder", "auto", "--jobs", JOBS)
-    same(plain, auto, "check", f"check --reorder auto --jobs {JOBS}")
-    print("reorder modes byte-identical")
 
 
 def scenario_serve(artifacts: pathlib.Path) -> None:
@@ -967,7 +959,6 @@ def scenario_cluster(artifacts: pathlib.Path) -> None:
 
 SCENARIOS = {
     "obs": scenario_obs,
-    "reorder": scenario_reorder,
     "serve": scenario_serve,
     "cluster": scenario_cluster,
 }
