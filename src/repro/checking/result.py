@@ -9,6 +9,13 @@ from repro.logic.ctl import Formula
 from repro.logic.restriction import Restriction
 
 
+def verdict_line(text: str, holds: bool) -> str:
+    """One SMV verdict line, ``text`` clipped to SMV's report width."""
+    if len(text) > 46:
+        text = text[:43] + "..."
+    return f"-- spec. {text} is {'true' if holds else 'false'}"
+
+
 @dataclass
 class CheckStats:
     """Resource usage of one model-checking run.
@@ -260,10 +267,7 @@ class CheckResult:
 
     def format(self) -> str:
         """One verdict line in SMV's output style."""
-        text = str(self.formula)
-        if len(text) > 46:
-            text = text[:43] + "..."
-        return f"-- spec. {text} is {'true' if self.holds else 'false'}"
+        return verdict_line(str(self.formula), self.holds)
 
     def explain(self) -> str:
         """Multi-line human-readable account of the verdict."""

@@ -43,14 +43,10 @@ import sys
 import time
 from pathlib import Path
 
-from repro.checking.explicit import ExplicitChecker
 from repro.checking.reachability import check_invariant_symbolic
-from repro.logic.ctl import TRUE
-from repro.logic.restriction import Restriction
 from repro.smv.compile_explicit import to_system
 from repro.smv.compile_symbolic import to_symbolic
-from repro.smv.pretty import clip_spec, spec_to_str
-from repro.smv.run import check_model, load_model
+from repro.smv.run import load_model
 from repro.smv.simulate import format_trace, simulate
 from repro.systems.graph import decoded_graph, to_dot
 
@@ -115,48 +111,17 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     source = Path(args.file).read_text()
-
-    def run() -> int:
-        if args.json or args.cache or args.progress:
-            return _check_cached(args, source)
-        model = load_model(source)
-        if args.jobs and args.jobs > 1:
-            return _check_parallel(args, source, model)
-        if args.explicit:
-            system = to_system(model, reflexive=args.reflexive)
-            checker = ExplicitChecker(system)
-            restriction = Restriction(
-                init=model.initial_formula(),
-                fairness=tuple(model.fairness) or (TRUE,),
-            )
-            ok = True
-            results = []
-            for spec, text in zip(model.specs, model.module.specs):
-                result = checker.holds(spec, restriction)
-                results.append(result)
-                ok &= bool(result)
-                verdict = "true" if result else "false"
-                print(f"-- spec. {clip_spec(spec_to_str(text))} is {verdict}")
-            if args.stats and results:
-                from repro.checking.result import CheckStats
-
-                print()
-                print(CheckStats.merged(r.stats for r in results).format())
-            return 0 if ok else 1
-        report, _ = check_model(model, reflexive=args.reflexive)
-        print(report.format(with_stats=args.stats))
-        return 0 if report.all_true else 1
-
-    return _run_observed(args, run)
+    return _run_observed(args, lambda: _check(args, source))
 
 
-def _check_cached(args: argparse.Namespace, source: str) -> int:
-    """``repro check`` through the result store (``--cache`` / ``--json``).
+def _check(args: argparse.Namespace, source: str) -> int:
+    """Every ``repro check`` runs through :func:`~repro.store.cached.cached_check`.
 
-    Verdicts, reports and exit codes match the plain paths; the cache
-    summary goes to stderr so cached and uncached stdout stay
-    comparable, and ``--json`` emits the same report payload the
-    serving layer returns (:mod:`repro.serve.schema`).
+    The store is consulted only with ``--cache`` and the worker pool
+    only with ``--jobs N`` (N > 1).  The cache summary goes to stderr so
+    cached and uncached stdout stay comparable, and ``--json`` emits
+    the same report payload the serving layer returns
+    (:mod:`repro.serve.schema`).
     """
     from repro.serve.schema import report_payload
     from repro.store import ResultStore
@@ -198,15 +163,10 @@ def _check_cached(args: argparse.Namespace, source: str) -> int:
                 report_payload(run, with_cache=store is not None), indent=2
             )
         )
-    elif args.explicit:
-        for text, result in zip(run.spec_texts, run.results):
-            verdict = "true" if result.holds else "false"
-            print(f"-- spec. {clip_spec(text)} is {verdict}")
-        if args.stats and run.results:
-            print()
-            print(run.merged_stats().format())
     else:
-        print(run.to_report().format(with_stats=args.stats))
+        text = run.format(with_stats=args.stats)
+        if text:
+            print(text)
     if store is not None:
         print(
             f"result store: {run.hits} hit(s), {run.misses} miss(es)",
@@ -217,73 +177,6 @@ def _check_cached(args: argparse.Namespace, source: str) -> int:
         except OSError:
             pass
     return 0 if run.all_true else 1
-
-
-def _check_parallel(args: argparse.Namespace, source: str, model) -> int:
-    """Fan the module's SPECs out over a worker pool (``--jobs N``).
-
-    Each spec becomes one independent work item; verdicts print in spec
-    order and the resources block aggregates the worker statistics.
-    Failing specs are re-examined in-process to decode counterexample
-    traces, so the report matches a sequential run.
-    """
-    from repro.checking.result import CheckStats
-    from repro.logic.ctl import TRUE as F_TRUE
-    from repro.obs.tracer import TRACER
-    from repro.parallel import SmvSpec, WorkItem, shared_scheduler
-    from repro.smv.run import SmvReport, _counterexample_trace
-
-    engine = "explicit" if args.explicit else "symbolic"
-    restriction = Restriction(
-        init=model.initial_formula(),
-        fairness=tuple(model.fairness) or (TRUE,),
-    )
-    system_spec = SmvSpec(source=source, reflexive=args.reflexive)
-    items = [
-        WorkItem(
-            system=system_spec,
-            formula=spec,
-            restriction=restriction,
-            engine=engine,
-            label=f"spec{i}",
-        )
-        for i, spec in enumerate(model.specs)
-    ]
-    with TRACER.span("cli.check_parallel", category="cli") as root:
-        outcomes = shared_scheduler(args.jobs).run(items)
-    results = [outcome.result for outcome in outcomes]
-    if args.explicit:
-        ok = True
-        for result, text in zip(results, model.module.specs):
-            ok &= bool(result)
-            verdict = "true" if result else "false"
-            print(f"-- spec. {clip_spec(spec_to_str(text))} is {verdict}")
-        if args.stats and results:
-            print()
-            print(CheckStats.merged(r.stats for r in results).format())
-        return 0 if ok else 1
-    report = SmvReport(
-        module_name=model.name,
-        results=results,
-        spec_texts=[spec_to_str(s) for s in model.module.specs],
-        counterexamples=[None] * len(results),
-        user_time=root.elapsed(),
-        num_fairness=len([f for f in restriction.fairness if f != F_TRUE]),
-    )
-    if not report.all_true:
-        # decode counterexample traces in-process, as sequentially
-        sym = to_symbolic(model, reflexive=args.reflexive)
-        report.counterexamples = [
-            _counterexample_trace(model, sym, spec, result)
-            if not result.holds
-            else None
-            for spec, result in zip(model.specs, results)
-        ]
-    merged = CheckStats.merged(r.stats for r in results)
-    report.bdd_nodes_allocated = merged.bdd_nodes_allocated
-    report.transition_nodes = merged.transition_nodes
-    print(report.format(with_stats=args.stats))
-    return 0 if report.all_true else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -32,6 +32,7 @@ from collections import deque
 
 from repro.cluster.ring import RingConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.client import open_url
 from repro.store.store import ResultStore, StoreRecord
 
 __all__ = [
@@ -170,9 +171,7 @@ class PeerClient:
         )
         for attempt in range(self.retries + 1):
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout
-                ) as resp:
+                with open_url(request, timeout=self.timeout) as resp:
                     payload = json.loads(resp.read().decode())
             except urllib.error.HTTPError as exc:
                 exc.read()
@@ -206,9 +205,7 @@ class PeerClient:
         )
         for attempt in range(self.retries + 1):
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout
-                ) as resp:
+                with open_url(request, timeout=self.timeout) as resp:
                     resp.read()
                 return
             except urllib.error.HTTPError as exc:

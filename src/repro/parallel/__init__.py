@@ -26,14 +26,11 @@ from repro.parallel.pool import (
 from repro.parallel.workitem import (
     ComposeSpec,
     ExplicitSpec,
-    FACTORIES,
-    FactorySpec,
     ParallelError,
     SmvSpec,
     SnapshotSpec,
     WorkItem,
     WorkOutcome,
-    register_factory,
     spec_of_component,
 )
 from repro.parallel.worker import clear_worker_caches, run_work_item
@@ -46,13 +43,10 @@ __all__ = [
     "WorkItem",
     "WorkOutcome",
     "SmvSpec",
-    "FactorySpec",
     "ExplicitSpec",
     "ComposeSpec",
     "SnapshotSpec",
     "ParallelError",
-    "FACTORIES",
-    "register_factory",
     "spec_of_component",
     "run_work_item",
     "clear_worker_caches",

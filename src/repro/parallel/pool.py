@@ -55,7 +55,7 @@ def default_jobs() -> int:
 
 
 def _make_context():
-    """Prefer ``fork`` (cheap start, inherits factory registrations)."""
+    """Prefer ``fork`` (cheap start; workers inherit the parent's imports)."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

@@ -34,8 +34,6 @@ from repro.obs.tracer import TRACER
 from repro.parallel.workitem import (
     ComposeSpec,
     ExplicitSpec,
-    FACTORIES,
-    FactorySpec,
     ParallelError,
     SmvSpec,
     SnapshotSpec,
@@ -126,11 +124,6 @@ def build_system(spec: SystemSpec, engine: str):
         if engine == "explicit":
             return sym.to_explicit()
         return sym
-    if isinstance(spec, FactorySpec):
-        factory = FACTORIES.get(spec.name)
-        if factory is None:
-            raise ParallelError(f"unknown system factory {spec.name!r}")
-        return factory(*spec.args)
     if isinstance(spec, ComposeSpec):
         return composite([_cached_system(p, engine) for p in spec.parts], engine)
     raise ParallelError(f"unknown system spec {type(spec).__name__}")

@@ -7,12 +7,10 @@ composite alphabet the component must be expanded over before checking
 (Lemmas 4/5/8–10 — the proof calculus checks obligations on component
 *expansions*).
 
-System specs come in five flavors, all frozen/hashable so worker
+System specs come in four flavors, all frozen/hashable so worker
 processes can cache the compiled checker per spec:
 
 * :class:`SmvSpec` — SMV source text, compiled in the worker;
-* :class:`FactorySpec` — a registered case-study factory name plus
-  arguments (see :data:`FACTORIES` / :func:`register_factory`);
 * :class:`ExplicitSpec` — a serialized explicit system (atoms + edges),
   for components built programmatically (e.g. the token ring);
 * :class:`ComposeSpec` — the ``∘``-composition of several sub-specs,
@@ -31,7 +29,7 @@ fall back to a manager snapshot otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Union
+from typing import Literal, Union
 
 from repro.errors import ReproError
 from repro.logic.ctl import Formula
@@ -39,7 +37,6 @@ from repro.logic.restriction import UNRESTRICTED, Restriction
 
 __all__ = [
     "SmvSpec",
-    "FactorySpec",
     "ExplicitSpec",
     "ComposeSpec",
     "SnapshotSpec",
@@ -48,8 +45,6 @@ __all__ = [
     "WorkOutcome",
     "ParallelError",
     "spec_of_component",
-    "register_factory",
-    "FACTORIES",
 ]
 
 
@@ -64,14 +59,6 @@ class SmvSpec:
     source: str
     #: Stutter-close the relation (paper-style component semantics).
     reflexive: bool = True
-
-
-@dataclass(frozen=True)
-class FactorySpec:
-    """Build the system by calling a registered case-study factory."""
-
-    name: str
-    args: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -114,9 +101,7 @@ class SnapshotSpec:
     stutter: bool = False
 
 
-SystemSpec = Union[
-    SmvSpec, FactorySpec, ExplicitSpec, ComposeSpec, SnapshotSpec
-]
+SystemSpec = Union[SmvSpec, ExplicitSpec, ComposeSpec, SnapshotSpec]
 
 
 @dataclass(frozen=True)
@@ -197,78 +182,6 @@ class WorkOutcome:
     store_cached: bool = False
     #: The item's obligation fingerprint, echoed back for ledgers.
     fingerprint: str = ""
-
-
-# ----------------------------------------------------------------------
-# the case-study factory registry
-# ----------------------------------------------------------------------
-def _afs1_server():
-    from repro.casestudies.afs1 import SERVER
-
-    return SERVER.symbolic()
-
-
-def _afs1_client():
-    from repro.casestudies.afs1 import CLIENT
-
-    return CLIENT.symbolic()
-
-
-def _afs2_server(n: int = 2):
-    from repro.casestudies.afs2 import server_source
-    from repro.casestudies.afs_common import ProtocolComponent
-
-    return ProtocolComponent("server", server_source(n)).symbolic()
-
-
-def _afs2_client(i: int = 1):
-    from repro.casestudies.afs2 import client_source
-    from repro.casestudies.afs_common import ProtocolComponent
-
-    return ProtocolComponent(f"client{i}", client_source(i)).symbolic()
-
-
-def _mutex_process(n: int, i: int):
-    from repro.casestudies.mutex import TokenRing
-
-    return TokenRing(n).process(i)
-
-
-def _twophase_coordinator(n: int = 2):
-    from repro.casestudies.twophase import coordinator_source
-    from repro.casestudies.afs_common import ProtocolComponent
-
-    return ProtocolComponent("coordinator", coordinator_source(n)).symbolic()
-
-
-def _twophase_participant(i: int = 1):
-    from repro.casestudies.twophase import participant_source
-    from repro.casestudies.afs_common import ProtocolComponent
-
-    return ProtocolComponent(f"participant{i}", participant_source(i)).symbolic()
-
-
-#: Name → factory callable returning a component (explicit or symbolic).
-FACTORIES: dict[str, Callable] = {
-    "afs1.server": _afs1_server,
-    "afs1.client": _afs1_client,
-    "afs2.server": _afs2_server,
-    "afs2.client": _afs2_client,
-    "mutex.process": _mutex_process,
-    "twophase.coordinator": _twophase_coordinator,
-    "twophase.participant": _twophase_participant,
-}
-
-
-def register_factory(name: str, factory: Callable) -> None:
-    """Register a system factory usable from :class:`FactorySpec`.
-
-    The factory must be importable in worker processes (a module-level
-    function, not a closure) only when using the ``spawn`` start method;
-    with ``fork`` (the default on Linux) registrations made before the
-    pool starts are inherited.
-    """
-    FACTORIES[name] = factory
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,17 @@ from collections.abc import Callable, Iterator
 
 from repro.errors import ReproError
 
-__all__ = ["ServeClient", "ServeClientError"]
+__all__ = ["ServeClient", "ServeClientError", "open_url"]
+
+#: Service and peer traffic goes straight to its host, like the
+#: router's fan-out sockets: an ``http_proxy`` set for the outside
+#: world must not capture loopback or ring requests.
+_OPENER = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+
+
+def open_url(request: urllib.request.Request, timeout: float):
+    """``urllib.request.urlopen`` that ignores proxy environment variables."""
+    return _OPENER.open(request, timeout=timeout)
 
 
 class ServeClientError(ReproError):
@@ -82,7 +92,7 @@ class ServeClient:
         )
         effective = self.timeout if timeout is None else timeout
         try:
-            with urllib.request.urlopen(request, timeout=effective) as resp:
+            with open_url(request, timeout=effective) as resp:
                 body = resp.read().decode()
                 content_type = resp.headers.get("Content-Type", "")
         except urllib.error.HTTPError as exc:
@@ -281,9 +291,7 @@ class ServeClient:
             response = None
             error: str | None = None
             try:
-                response = urllib.request.urlopen(
-                    request, timeout=self.timeout
-                )
+                response = open_url(request, timeout=self.timeout)
             except urllib.error.HTTPError as exc:
                 body = exc.read().decode()
                 try:

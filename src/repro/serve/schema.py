@@ -46,8 +46,6 @@ that.
 
 from __future__ import annotations
 
-from repro.smv.pretty import clip_spec
-
 __all__ = ["REPORT_SCHEMA", "report_payload", "format_payload"]
 
 REPORT_SCHEMA = "repro.check-report/1"
@@ -74,7 +72,7 @@ def report_payload(run, with_cache: bool = True) -> dict:
         )
     return {
         "schema": REPORT_SCHEMA,
-        "module": run.model.name,
+        "module": run.module_name,
         "engine": run.engine,
         "reflexive": run.reflexive,
         "all_true": run.all_true,
@@ -94,57 +92,44 @@ def report_payload(run, with_cache: bool = True) -> dict:
 def format_payload(payload: dict, with_stats: bool = False) -> str:
     """Render a report payload back into the SMV-style console report.
 
-    This is what ``repro submit`` prints, so a round trip through the
-    service reads exactly like a local ``repro check``.
+    This is what ``repro submit`` prints: the payload is rebuilt into an
+    :class:`~repro.smv.run.SmvReport` and rendered by its ``format``, so
+    a round trip through the service reads exactly like a local
+    ``repro check``, followed by the ``result store:`` line when the
+    payload has a cache block.
     """
-    lines = []
-    for i, entry in enumerate(payload.get("specs", [])):
-        verdict = "true" if entry["holds"] else "false"
-        lines.append(f"-- spec. {clip_spec(entry['spec'])} is {verdict}")
-        trace = entry.get("counterexample")
-        if trace:
-            lines.append(
-                "-- as demonstrated by the following execution sequence"
-            )
-            previous: dict = {}
-            for j, assignment in enumerate(trace):
-                lines.append(f"state {j + 1}.{i + 1}:")
-                for name, value in assignment.items():
-                    if previous.get(name) != value:
-                        shown = {True: "1", False: "0"}.get(value, value)
-                        lines.append(f"  {name} = {shown}")
-                previous = assignment
+    from repro.checking.result import CheckResult, CheckStats
+    from repro.logic.ctl import TRUE
+    from repro.logic.restriction import UNRESTRICTED
+    from repro.smv.run import SmvReport
+
+    specs = payload.get("specs", [])
     resources = payload.get("resources", {})
-    lines.append("")
-    lines.append("resources used:")
-    lines.append(
-        f"user time: {payload.get('user_time', 0.0):g} s, system time: 0 s"
+    report = SmvReport(
+        module_name=payload.get("module", ""),
+        results=[
+            CheckResult(
+                formula=TRUE,  # the spec text below is what is printed
+                restriction=UNRESTRICTED,
+                holds=entry["holds"],
+                num_failing=entry.get("num_failing", 0),
+                stats=CheckStats.from_dict(entry.get("stats", {})),
+            )
+            for entry in specs
+        ],
+        spec_texts=[entry["spec"] for entry in specs],
+        counterexamples=[entry.get("counterexample") for entry in specs],
+        user_time=payload.get("user_time", 0.0),
+        bdd_nodes_allocated=resources.get("bdd_nodes_allocated", 0),
+        transition_nodes=resources.get("transition_nodes", 0),
+        num_fairness=resources.get("num_fairness", 0),
+        engine=payload.get("engine", "symbolic"),
     )
-    lines.append(
-        f"BDD nodes allocated: {resources.get('bdd_nodes_allocated', 0)}"
-    )
-    lines.append(
-        "BDD nodes representing transition relation: "
-        f"{resources.get('transition_nodes', 0)} + "
-        f"{resources.get('num_fairness', 0)}"
-    )
+    lines = [report.format(with_stats=with_stats)]
     cache = payload.get("cache")
     if cache is not None:
         lines.append(
             f"result store: {cache.get('hits', 0)} hit(s), "
             f"{cache.get('misses', 0)} miss(es)"
         )
-    if with_stats:
-        lookups = sum(
-            e.get("stats", {}).get("bdd_cache_lookups", 0)
-            for e in payload.get("specs", [])
-        )
-        hits = sum(
-            e.get("stats", {}).get("bdd_cache_hits", 0)
-            for e in payload.get("specs", [])
-        )
-        if lookups:
-            lines.append(
-                f"BDD cache: {lookups} lookups, {hits / lookups:.1%} hit rate"
-            )
     return "\n".join(lines)

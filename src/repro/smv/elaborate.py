@@ -21,6 +21,7 @@ variable ``x`` over ``k`` values becomes bits ``x.0 … `` (see
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable
 
 from repro.errors import ElaborationError
@@ -44,6 +45,7 @@ from repro.logic.ctl import (
     land,
     lor,
 )
+from repro.logic.restriction import Restriction
 from repro.smv.ast import (
     Assign,
     BinOp,
@@ -544,6 +546,15 @@ class SmvModel:
     def valid_formula(self) -> Formula:
         """States whose bits decode to real domain values (no junk)."""
         return self.encoding.valid_formula()
+
+    @cached_property
+    def restriction(self) -> Restriction:
+        """What every SPEC is checked under: the validity + ``init()``
+        initial condition and the ``FAIRNESS`` constraints (``TRUE``
+        when there are none)."""
+        return Restriction(
+            init=self.initial_formula(), fairness=tuple(self.fairness) or (TRUE,)
+        )
 
     def initial_formula(self, include_valid: bool = True) -> Formula:
         """Conjunction of the ``init()`` constraints (and validity)."""

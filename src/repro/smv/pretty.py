@@ -75,13 +75,6 @@ def spec_to_str(node: SpecNode, parent_prec: int = 0) -> str:
     raise TypeError(f"unknown spec node {type(node).__name__}")
 
 
-def clip_spec(text: str, width: int = 46) -> str:
-    """Clip a verdict-line spec text to SMV's report width (with ellipsis)."""
-    if len(text) > width:
-        return text[: width - 3] + "..."
-    return text
-
-
 def _value_to_str(value) -> str:
     if value is True:
         return "1"

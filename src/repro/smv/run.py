@@ -9,17 +9,16 @@ mimics SMV's output, including the resource statistics block.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.checking.result import CheckResult, CheckStats
+from repro.checking.result import CheckResult, CheckStats, verdict_line
 from repro.checking.symbolic import SymbolicChecker
 from repro.checking.symbolic_witness import ef_witness_symbolic
 from repro.logic.ctl import AG, AX, Formula, Implies, Not, TRUE, is_propositional
-from repro.logic.restriction import Restriction
 from repro.obs.tracer import TRACER
-from repro.smv.compile_symbolic import to_symbolic
 from repro.smv.elaborate import SmvModel
-from repro.smv.parser import parse_module
+from repro.smv.pretty import spec_to_str
 from repro.systems.symbolic import SymbolicSystem
 
 
@@ -37,6 +36,9 @@ class SmvReport:
     bdd_nodes_allocated: int = 0
     transition_nodes: int = 0
     num_fairness: int = 0
+    #: ``"symbolic"`` (BDD) or ``"explicit"`` (NumPy bitsets); an
+    #: explicit report has no BDD resources block.
+    engine: str = "symbolic"
 
     @property
     def check_stats(self) -> CheckStats:
@@ -48,15 +50,6 @@ class SmvReport:
         """True when every SPEC holds (the paper's outputs are all true)."""
         return all(r.holds for r in self.results)
 
-    def _verdict_line(self, i: int) -> str:
-        from repro.smv.pretty import clip_spec
-
-        text = self.spec_texts[i] if i < len(self.spec_texts) else str(
-            self.results[i].formula
-        )
-        verdict = "true" if self.results[i].holds else "false"
-        return f"-- spec. {clip_spec(text)} is {verdict}"
-
     def format(
         self, with_counterexamples: bool = True, with_stats: bool = False
     ) -> str:
@@ -64,11 +57,18 @@ class SmvReport:
 
         ``with_stats`` appends the extended engine statistics: computed-
         table hit rate and the unique table's peak size (the CLI's
-        ``--stats`` flag).
+        ``--stats`` flag).  An explicit-engine report prints its verdict
+        lines alone, and with ``with_stats`` the merged
+        :meth:`CheckStats.format` block.
         """
         lines = []
-        for i in range(len(self.results)):
-            lines.append(self._verdict_line(i))
+        for i, result in enumerate(self.results):
+            text = (
+                self.spec_texts[i]
+                if i < len(self.spec_texts)
+                else str(result.formula)
+            )
+            lines.append(verdict_line(text, result.holds))
             trace = (
                 self.counterexamples[i]
                 if with_counterexamples and i < len(self.counterexamples)
@@ -84,6 +84,10 @@ class SmvReport:
                             shown = {True: "1", False: "0"}.get(value, value)
                             lines.append(f"  {name} = {shown}")
                     previous = assignment
+        if self.engine == "explicit":
+            if with_stats and self.results:
+                lines += ["", self.check_stats.format()]
+            return "\n".join(lines)
         lines.append("")
         lines.append("resources used:")
         lines.append(f"user time: {self.user_time:g} s, system time: 0 s")
@@ -152,53 +156,105 @@ def _counterexample_trace(
     return decode_path([start])
 
 
+def _checked_with_progress(checker, formula, restriction, progress, index):
+    """Run one obligation with live lifecycle events around it and the
+    process-wide emitter active for heartbeat ticks."""
+    import os
+    import time as time_module
+
+    from repro.obs.progress import PROGRESS
+
+    name = progress.obligation(index)
+    progress.publish(
+        {"kind": "obligation.start", "obligation": name, "pid": os.getpid()}
+    )
+    started = time_module.perf_counter()
+    with PROGRESS.active(
+        progress.publish, interval=progress.interval, obligation=name
+    ):
+        result = checker.holds(formula, restriction)
+    progress.publish(
+        {
+            "kind": "obligation.finish",
+            "obligation": name,
+            "holds": result.holds,
+            "cached": False,
+            "seconds": round(time_module.perf_counter() - started, 6),
+        }
+    )
+    return result
+
+
 def check_model(
     model: SmvModel,
     reflexive: bool = False,
-    extra_fairness: tuple[Formula, ...] = (),
-    extra_init: Formula | None = None,
-) -> tuple[SmvReport, SymbolicSystem]:
-    """Check every SPEC of an elaborated model with the symbolic checker.
+    *,
+    engine: str = "symbolic",
+    specs: Sequence[int] | None = None,
+    progress=None,
+    tracer=None,
+) -> tuple[SmvReport, SymbolicSystem | None]:
+    """Compile ``model`` and check its SPECs in process.
 
-    The initial condition is the model's validity+init formula (conjoined
-    with ``extra_init`` when given); fairness is the module's ``FAIRNESS``
-    declarations plus ``extra_fairness``.
+    Every SPEC is checked under :attr:`SmvModel.restriction` (the
+    validity + ``init()`` initial condition and the module's
+    ``FAIRNESS``), with the BDD engine (``engine="symbolic"``) or the
+    NumPy one (``"explicit"``).  ``specs`` picks SPECs by index (all by
+    default); the report lists them in that order.  A failed symbolic
+    ``AG p`` or ``p -> AX q`` carries a decoded counterexample.
+    ``progress`` (a :class:`~repro.obs.progress.ProgressConfig`)
+    publishes each SPEC's lifecycle events; ``tracer`` records the
+    ``smv.check_model`` span tree (default: the process-wide
+    :data:`~repro.obs.tracer.TRACER`).  Returns the report and the
+    compiled symbolic system (``None`` for the explicit engine).
     """
-    with TRACER.span(
+    if tracer is None:
+        tracer = TRACER
+    indices = range(len(model.specs)) if specs is None else specs
+    restriction = model.restriction
+    report = SmvReport(
+        module_name=model.name,
+        num_fairness=len([f for f in restriction.fairness if f != TRUE]),
+        engine=engine,
+    )
+    sym = None
+    with tracer.span(
         "smv.check_model", category="smv", module=model.name
     ) as root:
-        with TRACER.span("smv.compile_symbolic", category="smv"):
-            sym = to_symbolic(model, reflexive=reflexive)
-        checker = SymbolicChecker(sym)
-        init = model.initial_formula()
-        if extra_init is not None:
-            from repro.logic.ctl import And
+        if engine == "explicit":
+            from repro.checking.explicit import ExplicitChecker
+            from repro.smv.compile_explicit import to_system
 
-            init = And(init, extra_init)
-        fairness = tuple(model.fairness) + tuple(extra_fairness)
-        if not fairness:
-            fairness = (TRUE,)
-        restriction = Restriction(init=init, fairness=fairness)
-        from repro.smv.pretty import spec_to_str
+            checker = ExplicitChecker(to_system(model, reflexive=reflexive))
+        else:
+            from repro.smv.compile_symbolic import to_symbolic
 
-        report = SmvReport(
-            module_name=model.name,
-            spec_texts=[spec_to_str(s) for s in model.module.specs],
-        )
-        for spec in model.specs:
-            result = checker.holds(spec, restriction)
-            report.results.append(result)
-            if result.holds or not result.failing_states:
-                report.counterexamples.append(None)
+            with tracer.span("smv.compile_symbolic", category="smv"):
+                sym = to_symbolic(model, reflexive=reflexive)
+            checker = SymbolicChecker(sym)
+        for i in indices:
+            spec = model.specs[i]
+            if progress is None:
+                result = checker.holds(spec, restriction)
             else:
-                with TRACER.span("smv.counterexample", category="smv"):
-                    report.counterexamples.append(
-                        _counterexample_trace(model, sym, spec, result)
-                    )
+                result = _checked_with_progress(
+                    checker, spec, restriction, progress, i
+                )
+            report.spec_texts.append(spec_to_str(model.module.specs[i]))
+            report.results.append(result)
+            trace = None
+            if sym is not None and not result.holds and result.failing_states:
+                with tracer.span("smv.counterexample", category="smv"):
+                    trace = _counterexample_trace(model, sym, spec, result)
+            report.counterexamples.append(trace)
         report.user_time = root.elapsed()
-    report.bdd_nodes_allocated = sym.bdd.nodes_allocated
-    report.transition_nodes = sym.node_count()
-    report.num_fairness = len([f for f in fairness if f != TRUE])
+    if sym is None:
+        merged = report.check_stats
+        report.bdd_nodes_allocated = merged.bdd_nodes_allocated
+        report.transition_nodes = merged.transition_nodes
+    else:
+        report.bdd_nodes_allocated = sym.bdd.nodes_allocated
+        report.transition_nodes = sym.node_count()
     return report, sym
 
 

@@ -1,7 +1,7 @@
 """Store-backed model checking: reuse every verdict already on disk.
 
-:func:`cached_check` is the one code path behind ``repro check --cache``,
-``repro check --json`` and the serving layer's job executor.  It checks
+:func:`cached_check` is the one code path behind ``repro check`` (every
+flag combination) and the serving layer's job executor.  It checks
 every ``SPEC`` of an SMV module, consulting a :class:`~repro.store.store.ResultStore`
 first: specs whose fingerprint has a record are replayed from disk
 (verdict, statistics, decoded counterexample) around the spec and
@@ -28,7 +28,7 @@ from repro.logic.restriction import Restriction
 from repro.obs.tracer import TRACER
 from repro.smv.elaborate import SmvModel
 from repro.smv.pretty import spec_to_str
-from repro.smv.run import SmvReport, _counterexample_trace, load_model
+from repro.smv.run import SmvReport, _counterexample_trace, check_model, load_model
 from repro.store.fingerprint import report_fingerprint, spec_fingerprint
 from repro.store.store import ResultStore, StoreRecord
 
@@ -36,27 +36,16 @@ __all__ = ["CachedRun", "cached_check"]
 
 
 @dataclass
-class CachedRun:
-    """Outcome of one (possibly cache-served) whole-module check."""
+class CachedRun(SmvReport):
+    """Outcome of one (possibly cache-served) whole-module check: the
+    report, plus where each verdict came from and its content address."""
 
-    model: SmvModel
-    engine: str
-    reflexive: bool
-    restriction: Restriction
-    results: list[CheckResult] = field(default_factory=list)
-    spec_texts: list[str] = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
+    model: SmvModel | None = None
+    reflexive: bool = False
+    restriction: Restriction | None = None
     #: Per-spec: True when the verdict was served from the store.
     cached_flags: list[bool] = field(default_factory=list)
     fingerprints: list[str] = field(default_factory=list)
-    user_time: float = 0.0
-    bdd_nodes_allocated: int = 0
-    transition_nodes: int = 0
-    num_fairness: int = 0
-
-    @property
-    def all_true(self) -> bool:
-        return all(r.holds for r in self.results)
 
     @property
     def hits(self) -> int:
@@ -67,21 +56,9 @@ class CachedRun:
         return len(self.cached_flags) - self.hits
 
     def merged_stats(self) -> CheckStats:
-        return CheckStats.merged(r.stats for r in self.results)
-
-    def to_report(self) -> SmvReport:
-        """The run as an :class:`~repro.smv.run.SmvReport` (symbolic style)."""
-        report = SmvReport(
-            module_name=self.model.name,
-            results=list(self.results),
-            spec_texts=list(self.spec_texts),
-            counterexamples=list(self.counterexamples),
-            user_time=self.user_time,
-            num_fairness=self.num_fairness,
-        )
-        report.bdd_nodes_allocated = self.bdd_nodes_allocated
-        report.transition_nodes = self.transition_nodes
-        return report
+        """:attr:`check_stats`, under the name the benchmark's self-test
+        calls (``perfbench/selftest.py``)."""
+        return self.check_stats
 
 
 def cached_check(
@@ -136,10 +113,7 @@ def cached_check(
     if tracer is None:
         tracer = TRACER
     model = load_model(source)
-    restriction = Restriction(
-        init=model.initial_formula(),
-        fairness=tuple(model.fairness) or (TRUE,),
-    )
+    restriction = model.restriction
     options = {"reflexive": bool(reflexive)}
     spec_texts = [spec_to_str(s) for s in model.module.specs]
     bound = [bound_text(spec, restriction) for spec in model.specs]
@@ -187,25 +161,32 @@ def cached_check(
         root.add("store.spec_hits", count - len(miss_indices))
         root.add("store.spec_misses", len(miss_indices))
 
-        sym = None
-        if miss_indices:
-            if scheduler is not None:
+        checked = sym = None
+        if scheduler is not None:
+            if miss_indices:
                 _run_scheduled(
                     scheduler, source, model, restriction, engine, reflexive,
                     miss_indices, results, counterexamples, timeout,
                     tracer=tracer, trace_id=trace_id, progress=progress,
                 )
-            else:
-                sym = _run_inprocess(
-                    model, restriction, engine, reflexive,
-                    miss_indices, results, counterexamples, tracer=tracer,
-                    progress=progress,
-                )
+        elif miss_indices or store is None:
+            # without a store even a SPEC-less module is compiled, so its
+            # report counts the relation's nodes as SMV's does
+            checked, sym = check_model(
+                model, reflexive, engine=engine, specs=miss_indices,
+                progress=progress, tracer=tracer,
+            )
+            for i, result, trace in zip(
+                miss_indices, checked.results, checked.counterexamples
+            ):
+                results[i] = result
+                counterexamples[i] = trace
         user_time = root.elapsed()
 
     run = CachedRun(
-        model=model,
+        module_name=model.name,
         engine=engine,
+        model=model,
         reflexive=reflexive,
         restriction=restriction,
         results=list(results),  # type: ignore[arg-type]
@@ -216,13 +197,12 @@ def cached_check(
         user_time=user_time,
         num_fairness=len([f for f in restriction.fairness if f != TRUE]),
     )
-    merged = run.merged_stats()
-    if sym is not None:
-        run.bdd_nodes_allocated = sym.bdd.nodes_allocated
-        run.transition_nodes = sym.node_count()
-    else:
-        run.bdd_nodes_allocated = merged.bdd_nodes_allocated
-        run.transition_nodes = merged.transition_nodes
+    merged = run.check_stats
+    # the in-process BDD engine's own totals; explicit, replayed and
+    # pooled verdicts report the merged per-spec statistics
+    totals = checked if sym is not None else merged
+    run.bdd_nodes_allocated = totals.bdd_nodes_allocated
+    run.transition_nodes = totals.transition_nodes
 
     if store is not None:
         if miss_indices:
@@ -267,76 +247,6 @@ def cached_check(
             else:
                 run.user_time = merged.user_time
     return run
-
-
-def _checked_with_progress(checker, formula, restriction, progress, index):
-    """Run one in-process obligation with live lifecycle events around
-    it and the process-wide emitter active for heartbeat ticks."""
-    import os
-    import time as time_module
-
-    from repro.obs.progress import PROGRESS
-
-    name = progress.obligation(index)
-    progress.publish(
-        {"kind": "obligation.start", "obligation": name, "pid": os.getpid()}
-    )
-    started = time_module.perf_counter()
-    with PROGRESS.active(
-        progress.publish, interval=progress.interval, obligation=name
-    ):
-        result = checker.holds(formula, restriction)
-    progress.publish(
-        {
-            "kind": "obligation.finish",
-            "obligation": name,
-            "holds": result.holds,
-            "cached": False,
-            "seconds": round(time_module.perf_counter() - started, 6),
-        }
-    )
-    return result
-
-
-def _run_inprocess(
-    model, restriction, engine, reflexive, miss_indices, results,
-    counterexamples, tracer=None, progress=None,
-):
-    """Check the missing specs with an in-process engine; returns the
-    compiled symbolic system (``None`` for the explicit engine)."""
-    if tracer is None:
-        tracer = TRACER
-
-    def checked(checker, i):
-        if progress is not None:
-            return _checked_with_progress(
-                checker, model.specs[i], restriction, progress, i
-            )
-        return checker.holds(model.specs[i], restriction)
-
-    if engine == "explicit":
-        from repro.checking.explicit import ExplicitChecker
-        from repro.smv.compile_explicit import to_system
-
-        checker = ExplicitChecker(to_system(model, reflexive=reflexive))
-        for i in miss_indices:
-            results[i] = checked(checker, i)
-        return None
-    from repro.checking.symbolic import SymbolicChecker
-    from repro.smv.compile_symbolic import to_symbolic
-
-    with tracer.span("smv.compile_symbolic", category="smv"):
-        sym = to_symbolic(model, reflexive=reflexive)
-    checker = SymbolicChecker(sym)
-    for i in miss_indices:
-        result = checked(checker, i)
-        results[i] = result
-        if not result.holds and result.failing_states:
-            with tracer.span("smv.counterexample", category="smv"):
-                counterexamples[i] = _counterexample_trace(
-                    model, sym, model.specs[i], result
-                )
-    return sym
 
 
 def _run_scheduled(
@@ -403,6 +313,6 @@ def _run_scheduled(
             counterexamples[i] = _counterexample_trace(
                 model, sym, model.specs[i], outcome.result
             )
-    # report-level BDD numbers come from the merged worker stats, like
-    # the CLI's --jobs path — the parent-side system (compiled only to
-    # decode traces) is not this run's engine instance
+    # report-level BDD numbers come from the merged worker stats — the
+    # parent-side system (compiled only to decode traces) is not this
+    # run's engine instance

@@ -10,8 +10,6 @@ from repro.logic.parser import parse_ctl
 from repro.parallel.workitem import (
     ComposeSpec,
     ExplicitSpec,
-    FACTORIES,
-    FactorySpec,
     ParallelError,
     SmvSpec,
     SnapshotSpec,
@@ -120,29 +118,6 @@ class TestSpecDerivation:
             assert states(
                 rebuilt, rebuilt.pre_image(rebuilt.bdd.var(name))
             ) == states(view, view.pre_image(view.bdd.var(name)))
-
-    def test_unknown_factory_rejected(self):
-        with pytest.raises(ParallelError):
-            build_system(FactorySpec(name="no.such.factory"), "symbolic")
-
-    def test_registered_factories_build(self):
-        assert isinstance(
-            build_system(FactorySpec("afs1.client"), "symbolic"),
-            SymbolicSystem,
-        )
-        assert isinstance(
-            build_system(FactorySpec("mutex.process", (2, 0)), "explicit"),
-            System,
-        )
-        assert set(FACTORIES) >= {
-            "afs1.server",
-            "afs1.client",
-            "afs2.server",
-            "afs2.client",
-            "mutex.process",
-            "twophase.coordinator",
-            "twophase.participant",
-        }
 
     def test_compose_spec_builds_product(self):
         ring = TokenRing(2)

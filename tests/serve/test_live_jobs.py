@@ -382,7 +382,7 @@ class TestOperationalSurface:
             assert 'python="' in text
 
     def test_client_per_request_timeout_overrides_default(self, monkeypatch):
-        import urllib.request
+        import repro.serve.client
 
         captured = []
 
@@ -402,7 +402,8 @@ class TestOperationalSurface:
             captured.append(timeout)
             return FakeResponse()
 
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        # every client request goes through the proxy-free opener
+        monkeypatch.setattr(repro.serve.client, "open_url", fake_urlopen)
         client = ServeClient("http://example.invalid", timeout=12.5)
         client.healthz()  # no override: the client default applies
         client.healthz(request_timeout=3.0)  # per-request override wins

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.serve.schema import REPORT_SCHEMA, format_payload, report_payload
 from repro.store import ResultStore
 from repro.store.cached import cached_check
@@ -85,3 +87,33 @@ class TestFormatPayload:
         payload = report_payload(cached_check(GOOD))
         assert "BDD cache:" not in format_payload(payload)
         assert "BDD cache:" in format_payload(payload, with_stats=True)
+
+
+class TestRendersLikeCheck:
+    """``repro submit`` prints what ``repro check`` prints for a run."""
+
+    @pytest.mark.parametrize("with_stats", [False, True])
+    @pytest.mark.parametrize("engine", ["symbolic", "explicit"])
+    @pytest.mark.parametrize("source", [GOOD, BAD], ids=["good", "bad"])
+    def test_format_payload_equals_check_output(
+        self, source, engine, with_stats, tmp_path, monkeypatch, capsys
+    ):
+        import repro.store.cached
+        from repro.cli import main
+
+        run = cached_check(source, engine=engine)
+        # `repro check` renders exactly this run
+        monkeypatch.setattr(
+            repro.store.cached, "cached_check", lambda *a, **k: run
+        )
+        path = tmp_path / "model.smv"
+        path.write_text(source)
+        flags = ["--cache", str(tmp_path / "store")]
+        if engine == "explicit":
+            flags.append("--explicit")
+        if with_stats:
+            flags.append("--stats")
+        main(["check", str(path), *flags])
+        printed = capsys.readouterr().out
+        payload = report_payload(run, with_cache=False)
+        assert format_payload(payload, with_stats=with_stats) + "\n" == printed

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.logic.ctl import atom
-from repro.smv.run import check_model, check_source, load_model
+from repro.smv.run import check_source
 
 GOOD = """
 MODULE main
@@ -51,21 +50,6 @@ class TestCheckSource:
 
 
 class TestCheckModel:
-    def test_extra_fairness(self):
-        model = load_model(BAD)
-        report, _ = check_model(model, extra_fairness=(atom("x"),))
-        # under fairness {x}, paths stuttering at ¬x are discarded — but
-        # x -> AX x still fails because x can step to ¬x
-        assert not report.results[0].holds
-        assert report.num_fairness == 1
-
-    def test_extra_init(self):
-        from repro.logic.ctl import Const
-
-        model = load_model(BAD)
-        report, _ = check_model(model, extra_init=Const(False))
-        assert report.all_true  # vacuous: no initial states
-
     def test_reflexive_mode_changes_relation(self):
         src = """
 MODULE main

@@ -45,7 +45,7 @@ class TestColdWarm:
     def test_warm_report_is_byte_identical(self, store):
         cold = cached_check(GOOD, store=store)
         warm = cached_check(GOOD, store=store)
-        assert warm.to_report().format(with_stats=True) == cold.to_report().format(
+        assert warm.format(with_stats=True) == cold.format(
             with_stats=True
         )
 
@@ -71,7 +71,7 @@ class TestCounterexamples:
         warm = cached_check(BAD, store=store)
         assert warm.cached_flags == [True]
         assert warm.counterexamples == cold.counterexamples
-        assert warm.to_report().format() == cold.to_report().format()
+        assert warm.format() == cold.format()
 
 
 class TestEngines:
@@ -108,6 +108,6 @@ class TestScheduled:
             # and a warm replay of the parallel store matches it
             warm = cached_check(GOOD, store=store_b)
             assert warm.cached_flags == [True, True]
-            assert warm.to_report().format() == par.to_report().format()
+            assert warm.format() == par.format()
         finally:
             shutdown_shared()

@@ -340,7 +340,8 @@ def scenario_obs(artifacts: pathlib.Path) -> None:
     exporters and the profile renderer work outside the test harness.
     A ``--jobs`` check prints the same verdict lines as the sequential
     one (the reports carry wall-clock lines, so only those are
-    compared)."""
+    compared) and records the same root spans: ``repro check`` has one
+    path whatever its flags."""
 
     def verdicts(stdout: str) -> str:
         lines = stdout.splitlines()
@@ -356,7 +357,13 @@ def scenario_obs(artifacts: pathlib.Path) -> None:
     )
     if not sequential:
         fail("figure1 check printed no '-- spec' verdict lines")
-    pooled = verdicts(run_repro("check", FIGURE1, "--jobs", JOBS).stdout)
+    pooled_jsonl = artifacts / "figure1.jobs.spans.jsonl"
+    pooled = verdicts(
+        run_repro(
+            "check", FIGURE1, "--jobs", JOBS,
+            "--trace", pooled_jsonl, "--trace-format", "jsonl",
+        ).stdout
+    )
     if pooled != sequential:
         diff = difflib.unified_diff(
             sequential.splitlines(), pooled.splitlines(),
@@ -373,6 +380,19 @@ def scenario_obs(artifacts: pathlib.Path) -> None:
     records = [json.loads(line) for line in jsonl.read_text().splitlines()]
     if not records or records[0]["id"] != 0:
         fail("the JSONL trace does not start at span id 0")
+
+    def roots(path: pathlib.Path) -> set[str]:
+        return {
+            record["name"]
+            for record in map(json.loads, path.read_text().splitlines())
+            if record["parent"] is None
+        }
+
+    if roots(pooled_jsonl) != roots(jsonl):
+        fail(
+            f"check --jobs {JOBS} records root spans "
+            f"{sorted(roots(pooled_jsonl))}, check {sorted(roots(jsonl))}"
+        )
     print(f"chrome events: {len(events)}, jsonl spans: {len(records)}")
 
 
