@@ -21,6 +21,7 @@ variable ``x`` over ``k`` values becomes bits ``x.0 … `` (see
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 from typing import Hashable
 
@@ -63,6 +64,7 @@ from repro.smv.ast import (
     UnaryOp,
     VarDecl,
 )
+from repro.smv.pretty import module_to_str
 from repro.systems.encode import Encoding, FiniteVar
 
 Value = Hashable
@@ -149,6 +151,8 @@ class SmvModel:
     # ------------------------------------------------------------------
     def expand_defines(self, expr: Expr, _stack: tuple[str, ...] = ()) -> Expr:
         """Inline ``DEFINE`` macros (cycle-checked, arbitrary nesting)."""
+        if not self._defines:
+            return expr
         if isinstance(expr, Name):
             body = self._defines.get(expr.ident)
             if body is None:
@@ -555,6 +559,14 @@ class SmvModel:
         return Restriction(
             init=self.initial_formula(), fairness=tuple(self.fairness) or (TRUE,)
         )
+
+    @cached_property
+    def behavior_text(self) -> str:
+        """The module's canonical text
+        (:func:`~repro.smv.pretty.module_to_str`) without its ``SPEC``
+        lines, rendered once per model.  ``SPEC`` lines print last, so the
+        full text is this plus one ``SPEC …`` line per spec."""
+        return module_to_str(replace(self.module, specs=[]))
 
     def initial_formula(self, include_valid: bool = True) -> Formula:
         """Conjunction of the ``init()`` constraints (and validity)."""

@@ -3,7 +3,8 @@
 Produces :class:`repro.smv.ast.Module` values.  ``parse_module`` handles a
 single module (how the paper checks each component); ``parse_program``
 accepts multi-module sources with parameterized instantiation, flattened
-by :mod:`repro.smv.modules`.
+by :mod:`repro.smv.modules`.  Binary connectives of expressions and SPEC
+formulas are parsed by one precedence-climbing loop over :data:`_BINARY`.
 """
 
 from __future__ import annotations
@@ -31,15 +32,32 @@ from repro.smv.lexer import Token, tokenize
 
 _TEMPORAL_UNARY = {"AX", "EX", "AF", "EF", "AG", "EG"}
 
+#: Binary connectives of expressions and SPEC formulas: token kind →
+#: (operator, binding power, least binding power of its right operand).
+#: A right operand at the operator's own power makes it right-associative
+#: (``->``), one above makes it left-associative.
+_BINARY = {
+    "iff": ("<->", 1, 2),
+    "imp": ("->", 2, 2),
+    "or": ("|", 3, 4),
+    "and": ("&", 4, 5),
+}
+
+#: Comparisons bind tighter than every connective and do not chain: both
+#: operands are unary expressions, so ``a = b = c`` leaves ``= c`` unparsed.
+_CMP_OPS = {"eq": "=", "neq": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+
 
 class _Parser:
     def __init__(self, source: str):
+        # every parse error is raised before the final ``eof`` is consumed,
+        # so the index never runs past the end
         self.tokens = tokenize(source)
         self.i = 0
 
     # --- token plumbing ---------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
@@ -47,7 +65,8 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.next()
+        tok = self.tokens[self.i]
+        self.i += 1
         if tok.kind != kind:
             raise ParseError(
                 f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column
@@ -55,7 +74,7 @@ class _Parser:
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.i].kind == kind
 
     # --- program structure --------------------------------------------------
     def module(self) -> Module:
@@ -181,60 +200,46 @@ class _Parser:
             mod.assigns.append(Assign(kind, target, rhs))
 
     # --- expressions ----------------------------------------------------
+    def _climb(self, operand, node, min_bp: int = 1):
+        """Precedence climbing over :data:`_BINARY`: ``operand`` parses one
+        operand, ``node(op, left, right)`` builds a binary node."""
+        left = operand()
+        tokens = self.tokens
+        while True:
+            entry = _BINARY.get(tokens[self.i].kind)
+            if entry is None or entry[1] < min_bp:
+                return left
+            self.i += 1
+            left = node(entry[0], left, self._climb(operand, node, entry[2]))
+
     def expr(self) -> Expr:
-        return self._iff()
-
-    def _iff(self) -> Expr:
-        left = self._imp()
-        while self.at("iff"):
-            self.next()
-            left = BinOp("<->", left, self._imp())
-        return left
-
-    def _imp(self) -> Expr:
-        left = self._disj()
-        if self.at("imp"):
-            self.next()
-            return BinOp("->", left, self._imp())
-        return left
-
-    def _disj(self) -> Expr:
-        left = self._conj()
-        while self.at("or"):
-            self.next()
-            left = BinOp("|", left, self._conj())
-        return left
-
-    def _conj(self) -> Expr:
-        left = self._cmp()
-        while self.at("and"):
-            self.next()
-            left = BinOp("&", left, self._cmp())
-        return left
-
-    _CMP_OPS = {"eq": "=", "neq": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+        return self._climb(self._cmp, BinOp)
 
     def _cmp(self) -> Expr:
         left = self._unary()
-        kind = self.peek().kind
-        if kind in self._CMP_OPS:
-            self.next()
-            return BinOp(self._CMP_OPS[kind], left, self._unary())
-        return left
+        op = _CMP_OPS.get(self.tokens[self.i].kind)
+        if op is None:
+            return left
+        self.i += 1
+        return BinOp(op, left, self._unary())
 
     def _unary(self) -> Expr:
-        if self.at("not"):
-            self.next()
+        """``!`` applied to a primary, or a primary; ``!`` binds only its
+        operand (``!a = b`` is ``(!a) = b``)."""
+        tok = self.tokens[self.i]
+        self.i += 1
+        kind = tok.kind
+        if kind == "ident":
+            return Name(tok.text)
+        if kind == "not":
             return UnaryOp("!", self._unary())
-        return self._primary()
-
-    def _primary(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "lpar":
+        if kind == "number":
+            return IntLit(int(tok.text))
+        if kind == "lpar":
             inner = self.expr()
             self.expect("rpar")
             return inner
-        if tok.kind == "case":
+        if kind == "case":
             branches: list[tuple[Expr, Expr]] = []
             while not self.at("esac"):
                 cond = self.expr()
@@ -242,97 +247,60 @@ class _Parser:
                 value = self.expr()
                 self.expect("semi")
                 branches.append((cond, value))
-            self.expect("esac")
+            self.i += 1
             return Case(tuple(branches))
-        if tok.kind == "lbrace":
+        if kind == "lbrace":
             choices = [self.expr()]
             while self.at("comma"):
-                self.next()
+                self.i += 1
                 choices.append(self.expr())
             self.expect("rbrace")
             return SetLit(tuple(choices))
-        if tok.kind == "number":
-            return IntLit(int(tok.text))
-        if tok.kind == "TRUE":
+        if kind == "TRUE":
             return BoolLit(True)
-        if tok.kind == "FALSE":
+        if kind == "FALSE":
             return BoolLit(False)
-        if tok.kind == "ident":
-            return Name(tok.text)
         raise ParseError(
             f"unexpected token {tok.text!r} in expression", tok.line, tok.column
         )
 
     # --- SPEC formulas ----------------------------------------------------
     def spec(self) -> SpecNode:
-        return self._siff()
-
-    def _siff(self) -> SpecNode:
-        left = self._simp()
-        while self.at("iff"):
-            self.next()
-            left = SpecBinary("<->", left, self._simp())
-        return left
-
-    def _simp(self) -> SpecNode:
-        left = self._sor()
-        if self.at("imp"):
-            self.next()
-            return SpecBinary("->", left, self._simp())
-        return left
-
-    def _sor(self) -> SpecNode:
-        left = self._sand()
-        while self.at("or"):
-            self.next()
-            left = SpecBinary("|", left, self._sand())
-        return left
-
-    def _sand(self) -> SpecNode:
-        left = self._sunary()
-        while self.at("and"):
-            self.next()
-            left = SpecBinary("&", left, self._sunary())
-        return left
+        return self._climb(self._sunary, SpecBinary)
 
     def _sunary(self) -> SpecNode:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "not":
-            self.next()
+            self.i += 1
             return SpecUnary("!", self._sunary())
         if tok.kind == "ident":
             if tok.text in _TEMPORAL_UNARY:
-                self.next()
+                self.i += 1
                 return SpecUnary(tok.text, self._sunary())
-            if tok.text in ("A", "E") and self.peek(1).kind == "lbrk":
-                quant = self.next().text
-                self.expect("lbrk")
+            if tok.text in ("A", "E") and self.tokens[self.i + 1].kind == "lbrk":
+                self.i += 2
                 left = self.spec()
                 u = self.next()
                 if not (u.kind == "ident" and u.text == "U"):
                     raise ParseError("expected 'U' in until", u.line, u.column)
                 right = self.spec()
                 self.expect("rbrk")
-                return SpecBinary(quant + "U", left, right)
+                return SpecBinary(tok.text + "U", left, right)
         return self._satom()
 
     def _satom(self) -> SpecNode:
         if self.at("lpar"):
-            self.next()
+            self.i += 1
             inner = self.spec()
             self.expect("rpar")
             # allow `(x) = v` by folding a trailing comparison into the atom
-            if self.peek().kind in self._CMP_OPS and isinstance(inner, SpecAtom):
-                op = self._CMP_OPS[self.next().kind]
-                rhs = self._unary()
-                return SpecAtom(BinOp(op, inner.expr, rhs))
+            op = _CMP_OPS.get(self.tokens[self.i].kind)
+            if op is not None and isinstance(inner, SpecAtom):
+                self.i += 1
+                return SpecAtom(BinOp(op, inner.expr, self._unary()))
             return inner
         # a bare comparison / literal / variable
-        left = self._unary()
-        if self.peek().kind in self._CMP_OPS:
-            op = self._CMP_OPS[self.next().kind]
-            return SpecAtom(BinOp(op, left, self._unary()))
-        return SpecAtom(left)
+        return SpecAtom(self._cmp())
 
 
 def parse_module(source: str) -> Module:

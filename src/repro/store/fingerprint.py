@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 from typing import Iterable
 
 from repro.checking.result import bound_text
 from repro.logic.ctl import Formula
 from repro.logic.restriction import Restriction
 from repro.smv.elaborate import SmvModel
-from repro.smv.pretty import module_to_str
+from repro.smv.pretty import spec_to_str
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -87,9 +86,10 @@ def behavior_text(model: SmvModel) -> str:
 
     This is what per-spec fingerprints hash: the transition structure,
     fairness and initial conditions — everything a verdict depends on
-    besides the checked formula itself.
+    besides the checked formula itself.  Rendered once per model
+    (:attr:`SmvModel.behavior_text`).
     """
-    return module_to_str(replace(model.module, specs=[]))
+    return model.behavior_text
 
 
 def spec_fingerprint(
@@ -136,13 +136,16 @@ def report_fingerprint(
 
     Keyed over the full module text (``SPEC`` lines included): the
     report record replays exactly when, and only when, the same spec
-    set is checked again.
+    set is checked again.  The ``SPEC`` lines print last in
+    :func:`~repro.smv.pretty.module_to_str`, so that text is
+    :func:`behavior_text` followed by them.
     """
+    specs = "".join(f"SPEC {spec_to_str(spec)}\n" for spec in model.module.specs)
     return fingerprint_payload(
         {
             "schema": STORE_SCHEMA_VERSION,
             "kind": "report",
-            "module": module_to_str(model.module),
+            "module": behavior_text(model) + specs,
             "restriction": _restriction_payload(restriction),
             "engine": engine,
             "options": _options_payload(options),

@@ -56,3 +56,24 @@ class TestCommentsAndPositions:
 
     def test_eof_token_always_present(self):
         assert tokenize("")[-1].kind == "eof"
+
+    def test_source_may_end_in_blanks_or_a_comment(self):
+        assert kinds("a   ") == ["ident", "eof"]
+        assert kinds("a -- no newline after this comment") == ["ident", "eof"]
+        assert kinds("a\n--") == ["ident", "eof"]
+
+    def test_eof_position(self):
+        eof = tokenize("a\n  -- c")[-1]
+        assert (eof.line, eof.column) == (2, 7)
+
+    def test_crlf_and_tabs_are_blanks(self):
+        toks = tokenize("a\r\n\tb")
+        assert [(t.text, t.line, t.column) for t in toks[:2]] == [
+            ("a", 1, 1),
+            ("b", 2, 2),
+        ]
+
+    def test_identifiers_may_contain_dashes(self):
+        # `a->b` is the identifier `a-` then `>`: arrows need a blank
+        assert [t.text for t in tokenize("a->b")] == ["a-", ">", "b", ""]
+        assert kinds("a -> b") == ["ident", "imp", "ident", "eof"]

@@ -17,7 +17,9 @@ from repro.smv.ast import (
     UnaryOp,
     VarDecl,
 )
-from repro.smv.parser import parse_expr, parse_module, parse_spec
+from repro.smv.parser import parse_expr, parse_module, parse_program, parse_spec
+
+A, B, C, D = (Name(n) for n in "abcd")
 
 MINIMAL = """
 MODULE main
@@ -81,6 +83,30 @@ class TestExpressions:
         e = parse_expr("a -> b -> c")
         assert e == BinOp("->", Name("a"), BinOp("->", Name("b"), Name("c")))
 
+    @pytest.mark.parametrize(
+        "text, tree",
+        [
+            ("a <-> b <-> c", BinOp("<->", BinOp("<->", A, B), C)),
+            ("a -> b <-> c", BinOp("<->", BinOp("->", A, B), C)),
+            ("a <-> b -> c", BinOp("<->", A, BinOp("->", B, C))),
+            ("a | b -> c | d", BinOp("->", BinOp("|", A, B), BinOp("|", C, D))),
+            ("a -> b & c -> d", BinOp("->", A, BinOp("->", BinOp("&", B, C), D))),
+            ("a | b & c", BinOp("|", A, BinOp("&", B, C))),
+            ("a & b | c & d", BinOp("|", BinOp("&", A, B), BinOp("&", C, D))),
+            ("a | b | c", BinOp("|", BinOp("|", A, B), C)),
+            ("!a = b", BinOp("=", UnaryOp("!", A), B)),
+            ("!!a", UnaryOp("!", UnaryOp("!", A))),
+            ("a != b & c < 1", BinOp("&", BinOp("!=", A, B), BinOp("<", C, IntLit(1)))),
+            ("(a -> b) -> c", BinOp("->", BinOp("->", A, B), C)),
+        ],
+    )
+    def test_precedence_and_associativity(self, text, tree):
+        assert parse_expr(text) == tree
+
+    def test_comparisons_do_not_chain(self):
+        with pytest.raises(ParseError, match="trailing input '='"):
+            parse_expr("a = b = c")
+
     def test_true_false_literals(self):
         assert parse_expr("TRUE") == BoolLit(True)
         assert parse_expr("FALSE") == BoolLit(False)
@@ -123,6 +149,67 @@ class TestSpecs:
         s = parse_spec("(a = b -> AX a = b) & (c = d -> AX c = d)")
         assert isinstance(s, SpecBinary) and s.op == "&"
 
+    def test_connectives_over_temporal_operands(self):
+        atom = SpecAtom
+        s = parse_spec("AG a -> b -> c <-> d")
+        assert s == SpecBinary(
+            "<->",
+            SpecBinary(
+                "->",
+                SpecUnary("AG", atom(A)),
+                SpecBinary("->", atom(B), atom(C)),
+            ),
+            atom(D),
+        )
+
     def test_until_requires_u(self):
         with pytest.raises(ParseError):
             parse_spec("A[p V q]")
+
+
+#: (entry point, source, message, line, column), recorded from the
+#: parser before its expression grammar became a precedence-climbing loop.
+PARSE_ERRORS = [
+    (
+        parse_program,
+        "-- a comment line\nMODULE main\nVAR x : boolean;\n  x @ y\n",
+        "unexpected character '@'", 4, 5,
+    ),
+    (parse_program, "MODULE main\nVAR\n\tx boolean;\n", "expected 'colon', found 'boolean'", 3, 4),
+    (
+        parse_program,
+        "MODULE main\r\nVAR x : boolean;\r\nASSIGN next(x) := ;\r\n",
+        "unexpected token ';' in expression", 3, 19,
+    ),
+    (
+        parse_program,
+        "MODULE main\nVAR x : boolean\nASSIGN next(x) := x;\n",
+        "expected 'semi', found 'ASSIGN'", 3, 1,
+    ),
+    (
+        parse_program,
+        "MODULE main\nVAR x : boolean;\nASSIGN next(x) := x & | x;\n",
+        "unexpected token '|' in expression", 3, 23,
+    ),
+    (parse_program, "MODULE main\nVAR x : 3..1;\n", "empty range 3..1", 2, 12),
+    (parse_program, "MODULE main\nVAR x : {a, ;};\n", "bad enum value ';'", 2, 13),
+    (parse_spec, "A[x = a V x = b]", "expected 'U' in until", 1, 9),
+    (parse_spec, "AG x y", "trailing input 'y'", 1, 6),
+    (
+        parse_module,
+        "MODULE a\nMODULE b\n",
+        "multiple modules in source; use parse_program", 2, 1,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, source, message, line, column",
+    PARSE_ERRORS,
+    ids=[f"{case[0].__name__}-{i}" for i, case in enumerate(PARSE_ERRORS)],
+)
+def test_parse_error_text_and_position(parse, source, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"{message} (line {line}, column {column})"

@@ -33,6 +33,8 @@ from repro.smv.ast import (
 from repro.smv.compile_explicit import to_system
 from repro.smv.compile_symbolic import to_symbolic
 from repro.smv.elaborate import SmvModel
+from repro.smv.parser import parse_module
+from repro.smv.pretty import module_to_str
 from repro.smv.simulate import simulate
 from repro.systems.compose import compose_all
 from repro.systems.symbolic import SymbolicSystem, composite_view, primed
@@ -102,6 +104,17 @@ def modules(draw, fallthrough=False, names=NAMES):
             branches.append((IntLit(1), draw(value_exprs(name))))  # default
         assigns.append(Assign("next", name, Case(tuple(branches))))
     return Module(name="main", variables=decls, assigns=assigns)
+
+
+@given(modules(fallthrough=True))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_canonical_text_round_trips(module):
+    """The parser reads back what the canonical printer writes, and the
+    printer is a fixed point: fingerprints hash this text, so it must
+    name exactly one module."""
+    text = module_to_str(module)
+    assert parse_module(text) == module
+    assert module_to_str(parse_module(text)) == text
 
 
 @given(modules())
