@@ -409,13 +409,17 @@ class PeerSet:
 
         Called at job completion so a batch's records reach their
         owners before the next batch (possibly via another instance)
-        looks for them.
+        looks for them.  Waits on the queue's ``all_tasks_done``
+        condition, which the pusher notifies as the last task finishes.
         """
         deadline = time.monotonic() + timeout
-        while self._push_queue.unfinished_tasks:
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.01)
+        pending = self._push_queue
+        with pending.all_tasks_done:
+            while pending.unfinished_tasks:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                pending.all_tasks_done.wait(remaining)
         return True
 
     # -- introspection ---------------------------------------------------

@@ -25,6 +25,16 @@ from repro.smv.ast import (
 
 _BIN_PREC = {"<->": 1, "->": 2, "|": 3, "&": 4, "=": 5, "!=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5}
 
+#: Operators whose left operand at the same level needs parentheses:
+#: ``->`` nests to the right and comparisons do not chain, so
+#: ``(a -> b) -> c`` and ``(a = b) = c`` keep theirs.
+_NON_LEFT = {"->", "=", "!=", "<", "<=", ">", ">="}
+
+
+def _left_prec(op: str) -> int:
+    """The binding a left operand of ``op`` must beat to go bare."""
+    return _BIN_PREC[op] + (op in _NON_LEFT)
+
 
 def expr_to_str(expr: Expr, parent_prec: int = 0) -> str:
     """Render an SMV expression; parenthesizes by precedence."""
@@ -39,7 +49,7 @@ def expr_to_str(expr: Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, BinOp):
         prec = _BIN_PREC[expr.op]
         text = (
-            f"{expr_to_str(expr.left, prec)} {expr.op} "
+            f"{expr_to_str(expr.left, _left_prec(expr.op))} {expr.op} "
             f"{expr_to_str(expr.right, prec + 1)}"
         )
         return f"({text})" if prec < parent_prec else text
@@ -68,7 +78,7 @@ def spec_to_str(node: SpecNode, parent_prec: int = 0) -> str:
             return f"{quant}[{spec_to_str(node.left)} U {spec_to_str(node.right)}]"
         prec = _BIN_PREC[node.op]
         text = (
-            f"{spec_to_str(node.left, prec)} {node.op} "
+            f"{spec_to_str(node.left, _left_prec(node.op))} {node.op} "
             f"{spec_to_str(node.right, prec + 1)}"
         )
         return f"({text})" if prec < parent_prec else text

@@ -61,7 +61,10 @@ __all__ = [
 #: summed node counts of its partitions, not the product relation's.
 #: 4: the BDD variable order is fixed, so stored stats drop their
 #: dynamic-ordering counters and obligation fingerprints their mode.
-STORE_SCHEMA_VERSION = 4
+#: 5: the canonical text parenthesizes a left operand of ``->`` that is
+#: an implication and a comparison operand that is a comparison, so a
+#: report over ``(a -> b) -> c`` no longer hashes ``a -> b -> c``.
+STORE_SCHEMA_VERSION = 5
 
 
 def fingerprint_payload(payload: dict) -> str:

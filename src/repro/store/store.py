@@ -7,11 +7,20 @@ one JSON file under ``<root>/objects/<h[:2]>/<h>.json``.  Properties:
 * **atomic writes** — records are written to a temporary file in the
   same directory and published with ``os.replace``, so readers (other
   processes, a serving instance) never observe a torn record;
-* **bounded size** — :meth:`ResultStore.put` evicts the
-  least-recently-used records (by file mtime; :meth:`ResultStore.get`
-  touches records it serves) until the store fits ``max_bytes``.
-  Eviction order is deterministic: ties on the nanosecond mtime break
-  on the record file name;
+* **bounded size** — the store keeps a running total of its record
+  bytes: one directory scan at its first write, then each write adds
+  its size delta (an overwrite stats only its own path).  Only when the
+  total passes ``max_bytes`` does a write list and stat the records,
+  evicting the least-recently-used ones (by file mtime;
+  :meth:`ResultStore.get` touches records it serves) until the store
+  fits, and resetting the total from that scan.  Eviction order is
+  deterministic: ties on the nanosecond mtime break on the record file
+  name.  Records written into the same root by *other* instances (a
+  ``repro serve`` and a ``repro check --cache`` sharing a directory)
+  are seen at the next rescan, which also runs once this instance's
+  own bytes added since its last scan pass 1/8 of ``max_bytes``; so
+  ``k`` instances sharing one root keep it within
+  ``(1 + (k - 1) / 8) * max_bytes``, plus one record per instance;
 * **observable** — hits, misses, writes and evictions accumulate in a
   :class:`~repro.obs.metrics.MetricsRegistry` under ``store.*``, the
   same registry the serving layer renders at ``/metrics``.  Lookups and
@@ -30,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +49,11 @@ __all__ = ["ResultStore", "StoreRecord"]
 
 #: Default size cap: plenty for tens of thousands of records.
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+#: A write rescans the directory once the bytes this instance added
+#: since its last scan pass ``max_bytes // _RESCAN_DIVISOR`` — the
+#: bound on how long other writers' records go unseen.
+_RESCAN_DIVISOR = 8
 
 
 @dataclass
@@ -95,8 +110,15 @@ class ResultStore:
     root:
         Store directory (created on first write).
     max_bytes:
-        Size cap enforced after every write; least-recently-used
-        records (file mtime) are evicted first.
+        Size cap, checked after every write against a running total of
+        the record bytes (one scan at the first write, then each
+        write's size delta).  A write that takes the total past the cap
+        scans the directory and evicts least-recently-used records
+        (file mtime) first.  Other instances' writes into the same root
+        are counted at the next scan, which also runs once this
+        instance has added ``max_bytes / 8`` since its last one, so
+        ``k`` instances on one root stay within
+        ``(1 + (k - 1) / 8) * max_bytes`` (plus a record each).
     metrics:
         Registry receiving ``store.hits`` / ``store.misses`` /
         ``store.writes`` / ``store.evictions`` (plus per-kind variants
@@ -119,6 +141,15 @@ class ResultStore:
         #: Counter values already folded into ``counters.json`` — the
         #: next :meth:`flush_counters` persists only the delta.
         self._flushed: dict[str, int] = {}
+        #: Guards the running total and eviction: a serving instance's
+        #: job thread and HTTP threads write concurrently.
+        self._lock = threading.Lock()
+        #: Record bytes as of the last scan plus this instance's write
+        #: deltas since; ``None`` until the first write (or after a
+        #: removal not sized here), so the next write rescans.
+        self._total: int | None = None
+        #: Bytes this instance added since its last scan.
+        self._unscanned = 0
 
     def _count(self, event: str, kind: str | None) -> None:
         self.metrics.add(f"store.{event}")
@@ -240,7 +271,9 @@ class ResultStore:
             record = None
         except (OSError, ValueError, KeyError, TypeError):
             # unreadable or torn record: drop it and report a miss
-            self._discard(path)
+            with self._lock:
+                if self._discard(path):
+                    self._total = None
             record = None
         if record is not None:
             try:
@@ -288,16 +321,34 @@ class ResultStore:
 
     # -- write -----------------------------------------------------------
     def _write(self, fingerprint: str, record: StoreRecord) -> Path:
+        """Publish a record atomically and keep the store under its cap.
+
+        The tmp file is written outside the lock; sizing the old record,
+        ``os.replace`` and the total's update run under it, so two
+        threads overwriting one path never count its old size twice.
+        """
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(record.to_dict(), sort_keys=True)
+        payload = json.dumps(record.to_dict(), sort_keys=True).encode()
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=".json"
         )
         try:
-            with os.fdopen(fd, "w") as handle:
+            with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
-            os.replace(tmp_name, path)
+            with self._lock:
+                old = 0 if self._total is None else _size_of(path)
+                os.replace(tmp_name, path)
+                if self._total is not None:
+                    delta = len(payload) - old
+                    self._total += delta
+                    self._unscanned += max(delta, 0)
+                if (
+                    self._total is None
+                    or self._total > self.max_bytes
+                    or self._unscanned > self.max_bytes // _RESCAN_DIVISOR
+                ):
+                    self._evict()
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -318,7 +369,6 @@ class ResultStore:
             record.kind = kind
         path = self._write(fingerprint, record)
         self._count("writes", kind or record.kind or None)
-        self._evict()
         return path
 
     def local_record(
@@ -335,15 +385,15 @@ class ResultStore:
         """
         if kind and not record.kind:
             record.kind = kind
-        path = self._write(fingerprint, record)
-        self._evict()
-        return path
+        return self._write(fingerprint, record)
 
     def _evict(self, max_bytes: int | None = None) -> int:
-        """Remove least-recently-used records until the cap is met.
+        """Scan the records and remove least-recently-used ones until
+        the cap is met; the running total restarts from this scan.
 
         Eviction order is deterministic: oldest nanosecond mtime first,
         ties broken by record file name.  Returns the number evicted.
+        The caller holds ``_lock``.
         """
         cap = self.max_bytes if max_bytes is None else max_bytes
         files = self._record_files()
@@ -357,16 +407,17 @@ class ResultStore:
             sized.append((stat.st_mtime_ns, path.name, stat.st_size, path))
             total += stat.st_size
         evicted = 0
-        if total <= cap:
-            return evicted
-        for _, _, size, path in sorted(sized, key=lambda t: (t[0], t[1])):
-            if not self._discard(path):
-                continue
-            self.metrics.add("store.evictions")
-            evicted += 1
-            total -= size
-            if total <= cap:
-                break
+        if total > cap:
+            for _, _, size, path in sorted(sized, key=lambda t: (t[0], t[1])):
+                if not self._discard(path):
+                    continue
+                self.metrics.add("store.evictions")
+                evicted += 1
+                total -= size
+                if total <= cap:
+                    break
+        self._total = total
+        self._unscanned = 0
         return evicted
 
     # -- maintenance -----------------------------------------------------
@@ -377,7 +428,8 @@ class ResultStore:
         so ``repro store gc`` leaves an up-to-date sidecar behind.
         Leftover trashed records from interrupted evictors are swept.
         """
-        evicted = self._evict(max_bytes)
+        with self._lock:
+            evicted = self._evict(max_bytes)
         self._sweep_trash()
         self.flush_counters()
         return evicted
@@ -385,9 +437,11 @@ class ResultStore:
     def clear(self) -> int:
         """Remove every record; returns the number removed."""
         removed = 0
-        for path in self._record_files():
-            if self._discard(path):
-                removed += 1
+        with self._lock:
+            for path in self._record_files():
+                if self._discard(path):
+                    removed += 1
+            self._total = None
         self._sweep_trash()
         return removed
 
@@ -502,3 +556,11 @@ class ResultStore:
             if delta:
                 merged[name] = merged.get(name, 0) + delta
         return dict(sorted(merged.items()))
+
+
+def _size_of(path: Path) -> int:
+    """A file's size in bytes, 0 when it does not exist."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0

@@ -238,3 +238,32 @@ class TestPeerSetRouting:
         assert peers.candidates(fp) == []
         lone = PeerSet(RingConfig.parse(me, self_url=me))
         assert lone.candidates(fp) == []
+
+
+class TestFlush:
+    def test_flush_waits_for_the_push_and_gives_up_at_its_deadline(self):
+        me, other = "127.0.0.1:18124", "127.0.0.1:18125"
+        config = RingConfig.parse(f"{me},{other}", self_url=me)
+        peers = PeerSet(config)
+        release = threading.Event()
+        pushed = []
+
+        class StuckClient:
+            def push(self, fingerprint, record, kind=None):
+                release.wait()
+                pushed.append(fingerprint)
+
+        peers._clients[other] = StuckClient()
+        fp = fingerprint_owned_by(config, other)
+        assert peers.push(fp, {"verdict": True})
+        assert peers.flush(timeout=0.05) is False  # the push is stuck
+        assert pushed == []
+        release.set()
+        assert peers.flush(timeout=30.0) is True
+        assert pushed == [fp]
+        assert peers.metrics.get("cluster.peer_push.sent") == 1
+
+    def test_flush_with_nothing_queued_returns_at_once(self):
+        me = "127.0.0.1:18124"
+        peers = PeerSet(RingConfig.parse(me, self_url=me))
+        assert peers.flush(timeout=0.0) is True

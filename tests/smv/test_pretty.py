@@ -19,11 +19,31 @@ class TestExprRoundTrip:
             "{fetch, null}",
             "case a = b : x; 1 : y; esac",
             "(a | b) & c",
+            "(a -> b) -> c",
+            "(a = b) = c",
+            "(a != b) < (c <-> d)",
+            "(a <-> b) <-> c",
         ],
     )
     def test_reparse_gives_same_tree(self, text):
         tree = parse_expr(text)
         assert parse_expr(expr_to_str(tree)) == tree
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("(a -> b) -> c", "(a -> b) -> c"),
+            ("a -> (b -> c)", "a -> (b -> c)"),
+            ("a -> b -> c", "a -> (b -> c)"),
+            ("(a = b) = c", "(a = b) = c"),
+            ("a = (b = c)", "a = (b = c)"),
+            ("(a <-> b) <-> c", "a <-> b <-> c"),
+        ],
+    )
+    def test_nesting_prints_as_it_parses(self, text, printed):
+        """``->`` nests right and comparisons do not chain: a left
+        operand at the same level keeps its parentheses."""
+        assert expr_to_str(parse_expr(text)) == printed
 
 
 class TestSpecRoundTrip:
@@ -36,6 +56,8 @@ class TestSpecRoundTrip:
             "E[p U q]",
             "!time & response != val",
             "(a = b -> AX (a = b | c = d)) & (e = f -> EX e = g)",
+            "(AG p -> EF q) -> r",
+            "(x = a) = y -> AX z",
         ],
     )
     def test_reparse_gives_same_tree(self, text):

@@ -52,9 +52,16 @@ _DOMAINS = {
 NAMES = ("v0", "v1", "v2")
 
 
+#: Every binary operator the canonical printer must round-trip: the
+#: connectives (``->`` nests right, ``<->`` left) and comparisons, which
+#: here may also compare comparisons.
+ALL_OPS = ("&", "|", "->", "<->", "=", "!=", "<")
+
+
 @st.composite
-def conditions(draw, names=NAMES):
-    """A random boolean guard over the module's variables."""
+def conditions(draw, names=NAMES, ops=("&", "|")):
+    """A random boolean guard over the module's variables, joined by
+    ``ops``."""
     kind = draw(st.integers(0, 3))
     if kind == 0:
         var = draw(st.sampled_from(names[:2]))
@@ -63,9 +70,9 @@ def conditions(draw, names=NAMES):
     if kind == 1:
         return Name(names[2])
     if kind == 2:
-        return UnaryOp("!", draw(conditions(names)))
-    op = draw(st.sampled_from(["&", "|"]))
-    return BinOp(op, draw(conditions(names)), draw(conditions(names)))
+        return UnaryOp("!", draw(conditions(names, ops)))
+    op = draw(st.sampled_from(ops))
+    return BinOp(op, draw(conditions(names, ops)), draw(conditions(names, ops)))
 
 
 @st.composite
@@ -87,9 +94,10 @@ def value_exprs(draw, var: str):
 
 
 @st.composite
-def modules(draw, fallthrough=False, names=NAMES):
+def modules(draw, fallthrough=False, names=NAMES, ops=("&", "|")):
     """A random module over ``names``; with ``fallthrough`` a ``case``
-    may lack its default branch (only a reflexive compile accepts that)."""
+    may lack its default branch (only a reflexive compile accepts that).
+    Guards join with ``ops``."""
     decls = [VarDecl(name, _DOMAINS[name]) for name in names]
     assigns = []
     for name in names:
@@ -98,7 +106,7 @@ def modules(draw, fallthrough=False, names=NAMES):
         branches = []
         for _ in range(draw(st.integers(0, 2))):
             branches.append(
-                (draw(conditions(names)), draw(value_exprs(name)))
+                (draw(conditions(names, ops)), draw(value_exprs(name)))
             )
         if not (fallthrough and branches and draw(st.booleans())):
             branches.append((IntLit(1), draw(value_exprs(name))))  # default
@@ -106,7 +114,7 @@ def modules(draw, fallthrough=False, names=NAMES):
     return Module(name="main", variables=decls, assigns=assigns)
 
 
-@given(modules(fallthrough=True))
+@given(modules(fallthrough=True, ops=ALL_OPS))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_canonical_text_round_trips(module):
     """The parser reads back what the canonical printer writes, and the

@@ -4,7 +4,8 @@ Every store record is addressed by these digests.  A change to the
 parser, the elaborator or the canonical rendering that moves one of them
 would silently orphan every existing store, so a drift must fail here
 and come with a :data:`~repro.store.fingerprint.STORE_SCHEMA_VERSION`
-bump.  Each digest is the first 16 hex digits of the SHA-256.
+bump.  Each digest is the first 16 hex digits of the SHA-256, recorded
+under schema 5.
 """
 
 from pathlib import Path
@@ -55,39 +56,39 @@ def _source(name: str) -> str:
 #: name → (engine, reflexive, report digest, per-SPEC digests)
 GOLDEN = {
     "figure1.smv": (
-        "symbolic", False, "03b49f469f8c01ee",
-        ["2ea4fc683605823a", "07c21651f317102d", "84b89294f4463ec9"],
+        "symbolic", False, "fe43b0f6dc6b5d8e",
+        ["8fdced32843e0f48", "7f239b951e7dfab9", "d2e321fe9628eb73"],
     ),
     "afs1_server": (
-        "symbolic", False, "63d3daf7c71c513f",
+        "symbolic", False, "5e39fbe7996c978f",
         [
-            "3a007da8ecedc96c", "5207826d2f492879", "55868018109ccb9e",
-            "41c22b1107c8a877", "9c3e55ed4bb7107f",
+            "94f3e996adc94496", "ffda6c343ad29ae7", "ccd2e855c203b3b3",
+            "8aae6db2d8f44b80", "2c44f7ed54ed03cd",
         ],
     ),
     "afs1_client": (
-        "symbolic", False, "b40e6f5f54398e86",
+        "symbolic", False, "0a1251fa57d24491",
         [
-            "ae26a9e4861347b9", "4d3daae4217033fb", "9691fba76c3180ac",
-            "8357096040575dc6", "124efbe440aa8ac6", "39a09bbff2ed4d20",
+            "f9dda5b1f9557be1", "775faf03c7d9484a", "aab7eff1880c5824",
+            "709be299966eb0af", "a708048bb22dd1f4", "6294101d0bab62ca",
         ],
     ),
-    "afs2_client": ("symbolic", False, "beae03d98a249f39", ["fa5b15d123947f34"]),
+    "afs2_client": ("symbolic", False, "6bf02b55dee565bf", ["28eca3dbc8d7e47c"]),
     "afs2_server2": (
-        "symbolic", False, "6289c931681b9183",
-        ["9b0c9be90a6d9ab0", "297c0cff5fc80f85"],
+        "symbolic", False, "09167b1d8c62e8bf",
+        ["ede62ec2c9a55aa2", "d9378c1f988e291f"],
     ),
     "afs2_server3": (
-        "symbolic", False, "88e5335951101322",
-        ["5fec242c8f3eb9bd", "66aedb247b8c570e"],
+        "symbolic", False, "4074a1f28f08115b",
+        ["6146e4cc602a256b", "b64208d1ce94ed15"],
     ),
     "afs2_server4": (
-        "symbolic", False, "0f1090b03ac361af",
-        ["047045c12afbe291", "4221a6bc2a8e265e"],
+        "symbolic", False, "92bdca69836659af",
+        ["7925583636d429a8", "d7cde2f5f69c1d03"],
     ),
     "features": (
-        "explicit", True, "e8b46c9bbe3be6fc",
-        ["9a8483d2731de724", "10f7b416abc43f60"],
+        "explicit", True, "ca6d67b7d3f551c1",
+        ["7abb229d6e06ae29", "63d65506202fa20a"],
     ),
 }
 

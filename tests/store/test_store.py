@@ -2,6 +2,9 @@
 
 import json
 import os
+import sys
+import threading
+from pathlib import Path
 
 from repro.store.store import ResultStore, StoreRecord
 
@@ -195,3 +198,127 @@ class TestPeekLocal:
         assert record is not None and record.result == {"i": 3}
         # no hits/misses recorded: peeks serve peer probes, not clients
         assert store.counters() == {"writes": 1}
+
+
+def _fp(i):
+    return f"{i:064x}"
+
+
+class TestTrackedTotal:
+    """The store sizes itself from a running total: a write under the
+    cap never lists the record directory again."""
+
+    def test_writes_under_the_cap_list_the_directory_once(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        listings = []
+        original = ResultStore._record_files
+
+        def counting(self):
+            listings.append(1)
+            return original(self)
+
+        monkeypatch.setattr(ResultStore, "_record_files", counting)
+        for i in range(200):
+            store.put(_fp(i), _record(i))
+        for i in range(200, 250):
+            store.local_record(_fp(i), _record(i))
+        assert len(listings) <= 1
+        assert store._total == store.total_bytes()
+
+    def test_a_write_stats_only_its_own_path(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        store.put(_fp(0), _record(0))
+        statted = []
+        original = Path.stat
+
+        def recording(self, *args, **kwargs):
+            statted.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", recording)
+        target = store.path_for(_fp(1))
+        store.put(_fp(1), _record(1))
+        store.put(_fp(1), _record(2))  # an overwrite sizes the old record
+        assert statted and set(statted) <= {target, target.parent}
+
+    def test_same_bytes_overwrite_at_the_cap_evicts_nothing(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for i in range(3):
+            store.put(_fp(i), _record(i))
+        store.max_bytes = store.total_bytes()
+        store.put(_fp(1), _record(1))
+        store.local_record(_fp(2), _record(2))
+        assert store.counters().get("evictions", 0) == 0
+        assert len(store) == 3 and store._total == store.max_bytes
+
+    def test_two_instances_on_one_root_stay_within_the_overshoot(
+        self, tmp_path
+    ):
+        """Each instance sees the other's records only at a rescan; the
+        documented bound for two is ``(1 + 1/8) * cap`` plus a record
+        each, and every eviction takes the oldest (mtime, name) first."""
+        size = len(json.dumps(_record(100).to_dict(), sort_keys=True))
+        cap = 10 * size
+        a = ResultStore(tmp_path, max_bytes=cap)
+        b = ResultStore(tmp_path, max_bytes=cap)
+        order = []
+        for i in range(100, 160):
+            # names fall as i rises, and pairs share an mtime, so the
+            # name tie-break decides which of a pair goes first
+            fp = _fp(1000 - i)
+            path = (a if i % 2 else b).put(fp, _record(i))
+            tick = (i // 2) * 1_000_000_000
+            os.utime(path, ns=(tick, tick))
+            order.append((tick, path.name, fp))
+            assert a.total_bytes() <= cap + cap // 8 + 2 * size
+        present = [fp in a for _, _, fp in sorted(order)]
+        assert present == sorted(present)  # survivors are the newest
+        assert sum(present) >= 10
+        assert a.counters()["evictions"] > 0 and b.counters()["evictions"] > 0
+
+    def test_concurrent_put_and_local_record_keep_the_total_exact(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        store.put(_fp(0), _record(0))
+        start = threading.Barrier(4, timeout=60)
+
+        def writer(write, width):
+            start.wait()
+            for i in range(300):
+                # all four rewrite the same ten records, in two sizes:
+                # concurrent overwrites of one path
+                write(_fp(i % 10), _record(10**width + i))
+
+        threads = [
+            threading.Thread(target=writer, args=(write, width))
+            for write in (store.put, store.local_record)
+            for width in (3, 9)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store._total == store.total_bytes()
+
+    def test_gc_clear_and_healing_keep_the_total(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for i in range(4):
+            store.put(_fp(i), _record(i))
+        store.gc(max_bytes=store.total_bytes() // 2)
+        assert store._total == store.total_bytes()
+        store.path_for(_fp(3)).write_text("{torn")
+        assert store.get(_fp(3)) is None
+        store.put(_fp(4), _record(4))
+        assert store._total == store.total_bytes()
+        store.clear()
+        store.put(_fp(5), _record(5))
+        assert store._total == store.total_bytes()
