@@ -47,6 +47,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import asdict, dataclass
 
 from repro.cluster.fanout import FanoutRequest, FanoutResponse, fanout
@@ -65,6 +66,7 @@ from repro.obs.tracer import TraceContext, Tracer
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import ReproServer
 from repro.serve.jobs import (
+    FINISHED_JOBS_KEPT,
     TERMINAL_STATES,
     JobRequest,
     QueueFullError,
@@ -132,7 +134,7 @@ class _RoutedJob:
     """
 
     __slots__ = ("id", "created", "checks", "parts", "timeout",
-                 "trace_id", "stream")
+                 "trace_id", "stream", "retired")
 
     def __init__(self, checks: int, timeout: float | None, trace_id: str):
         self.id = uuid.uuid4().hex[:12]
@@ -142,6 +144,8 @@ class _RoutedJob:
         self.timeout = timeout
         self.trace_id = trace_id or TraceContext.mint().trace_id
         self.stream: "_JobStream | None" = None
+        #: seen terminal, and counted against FINISHED_JOBS_KEPT
+        self.retired = False
 
 
 class RouterManager:
@@ -166,6 +170,8 @@ class RouterManager:
         self.started_wall = time.time()
         self.draining = False
         self._jobs: dict[str, _RoutedJob] = {}
+        #: ids of jobs last seen terminal, oldest first
+        self._finished: deque[str] = deque()
         self._lock = threading.Lock()
         self._breakers = {
             shard: CircuitBreaker(
@@ -363,7 +369,23 @@ class RouterManager:
         """The aggregate job document (``404`` as ServeError)."""
         job = self._known(job_id)
         self._refresh(job)
-        return self._document(job)
+        document = self._document(job)
+        if document["state"] in TERMINAL_STATES:
+            self._retire(job)
+        return document
+
+    def _retire(self, job: _RoutedJob) -> None:
+        """Count a job seen terminal and shed the oldest such jobs past
+        :data:`~repro.serve.jobs.FINISHED_JOBS_KEPT`.  The router learns
+        a job's state only from a poll, so a job never seen terminal is
+        never shed."""
+        with self._lock:
+            if job.retired:
+                return
+            job.retired = True
+            self._finished.append(job.id)
+            while len(self._finished) > FINISHED_JOBS_KEPT:
+                del self._jobs[self._finished.popleft()]
 
     job_document = get
 
@@ -473,6 +495,7 @@ class RouterManager:
         }
         if result["state"] != "cancelled":
             raise ServeError(409, {**result, "error": "not fully cancellable"})
+        self._retire(job)
         return result
 
     # -- distributed traces ----------------------------------------------

@@ -46,6 +46,11 @@ from repro.parallel.worker import _init_worker, run_work_item
 __all__ = ["ObligationScheduler", "shared_scheduler", "shutdown_shared", "default_jobs"]
 
 
+#: Longest a batch waits for its items' ``obligation.finish`` events to
+#: be routed after their results arrived (a dropped event costs this).
+FINISH_ROUTE_SECONDS = 1.0
+
+
 def default_jobs() -> int:
     """A sensible worker count: the cores this process may run on."""
     try:
@@ -92,6 +97,10 @@ class ObligationScheduler:
         self._progress_thread: threading.Thread | None = None
         self._progress_listeners: dict[str, Callable[[dict], None]] = {}
         self._progress_lock = threading.Lock()
+        #: ``obligation.finish`` events a :meth:`run` still waits to see
+        #: routed, by ``(progress key, obligation)``.
+        self._unrouted: dict[tuple[str, str], int] = {}
+        self._routed = threading.Condition(self._progress_lock)
 
     # -- lifecycle -------------------------------------------------------
     def _ensure_pool(self):
@@ -162,12 +171,33 @@ class ObligationScheduler:
                 continue
             with self._progress_lock:
                 callback = self._progress_listeners.get(event.get("key", ""))
-            if callback is None:
-                continue
-            try:
-                callback(event)
-            except Exception:
-                pass  # a broken consumer must not kill the drainer
+            if callback is not None:
+                try:
+                    callback(event)
+                except Exception:
+                    pass  # a broken consumer must not kill the drainer
+            if event.get("kind") == "obligation.finish":
+                route = (event.get("key", ""), event.get("obligation", ""))
+                with self._routed:
+                    if route in self._unrouted:
+                        self._unrouted[route] -= 1
+                        self._routed.notify_all()
+
+    def _await_routed(self, routes: list[tuple[str, str]]) -> None:
+        """Wait, at most :data:`FINISH_ROUTE_SECONDS`, until the drainer
+        has routed the ``obligation.finish`` of every route.
+
+        A worker's heartbeats travel on the progress queue and its
+        result on the pool's result pipe, so the result can arrive
+        first.  Each worker puts ``obligation.finish`` after its
+        heartbeats on the same queue, so once it is routed, so are they:
+        a caller that unsubscribes after :meth:`run` loses none.
+        """
+        with self._routed:
+            self._routed.wait_for(
+                lambda: all(self._unrouted[r] <= 0 for r in routes),
+                timeout=FINISH_ROUTE_SECONDS,
+            )
 
     def __enter__(self) -> "ObligationScheduler":
         return self
@@ -216,36 +246,51 @@ class ObligationScheduler:
             ]
         pool = self._ensure_pool()
         deadline = None if timeout is None else time.monotonic() + timeout
-        with tracer.span(
-            "parallel.batch",
-            category="parallel",
-            jobs=self.jobs,
-            items=len(items),
-        ):
-            # one async submission per item: results are collected in
-            # submission order regardless of completion order, and a
-            # long item never blocks dispatch of the ones behind it
-            # (imap's chunking would).
-            batch = next(self._batches)
-            handles = [
-                pool.apply_async(run_work_item, (item, batch))
-                for item in items
-            ]
-            outcomes = []
-            for handle in handles:
-                try:
-                    if deadline is None:
-                        outcomes.append(handle.get())
-                    else:
-                        remaining = max(deadline - time.monotonic(), 0.0)
-                        outcomes.append(handle.get(remaining))
-                except multiprocessing.TimeoutError:
-                    self.metrics.add("parallel.batch_timeouts")
-                    raise ParallelError(
-                        f"parallel batch timed out after {timeout:g} s "
-                        f"({len(outcomes)}/{len(items)} items finished)"
-                    ) from None
-            self._merge(outcomes, record, tracer)
+        routes = [
+            (item.progress_key, item.progress_obligation or item.label)
+            for item in items
+            if item.progress_key
+        ]
+        with self._routed:
+            for route in routes:
+                self._unrouted[route] = self._unrouted.get(route, 0) + 1
+        try:
+            with tracer.span(
+                "parallel.batch",
+                category="parallel",
+                jobs=self.jobs,
+                items=len(items),
+            ):
+                # one async submission per item: results are collected in
+                # submission order regardless of completion order, and a
+                # long item never blocks dispatch of the ones behind it
+                # (imap's chunking would).
+                batch = next(self._batches)
+                handles = [
+                    pool.apply_async(run_work_item, (item, batch))
+                    for item in items
+                ]
+                outcomes = []
+                for handle in handles:
+                    try:
+                        if deadline is None:
+                            outcomes.append(handle.get())
+                        else:
+                            remaining = max(deadline - time.monotonic(), 0.0)
+                            outcomes.append(handle.get(remaining))
+                    except multiprocessing.TimeoutError:
+                        self.metrics.add("parallel.batch_timeouts")
+                        raise ParallelError(
+                            f"parallel batch timed out after {timeout:g} s "
+                            f"({len(outcomes)}/{len(items)} items finished)"
+                        ) from None
+                self._merge(outcomes, record, tracer)
+                if routes:
+                    self._await_routed(routes)
+        finally:
+            with self._routed:
+                for route in routes:
+                    self._unrouted.pop(route, None)
         return outcomes
 
     def run_cached(

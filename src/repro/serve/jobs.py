@@ -45,6 +45,7 @@ import queue
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -92,6 +93,11 @@ class ServeError(ReproError):
 
 #: States from which a job never moves again.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled", "timeout"})
+
+#: Terminal jobs a manager keeps answering for, newest first; an older
+#: one leaves the job table (its id answers ``404``).  Queued and running
+#: jobs are never shed.
+FINISHED_JOBS_KEPT = 1024
 
 
 @dataclass(frozen=True)
@@ -283,6 +289,8 @@ class JobManager:
         self.draining = False
         self._queue: queue.Queue[str | None] = queue.Queue(maxsize=queue_size)
         self._jobs: dict[str, Job] = {}
+        #: ids of terminal jobs still in ``_jobs``, oldest first
+        self._finished: deque[str] = deque()
         self._lock = threading.Lock()
         self._idle = threading.Event()
         self._idle.set()
@@ -436,7 +444,15 @@ class JobManager:
                         job, {"kind": "job.state", "state": "cancelled"}
                     )
                     job.progress.close()
+                self._retire(job)
             return job.state
+
+    def _retire(self, job: Job) -> None:
+        """Record ``job`` as terminal and shed the oldest terminal jobs
+        past :data:`FINISHED_JOBS_KEPT` (caller holds ``_lock``)."""
+        self._finished.append(job.id)
+        while len(self._finished) > FINISHED_JOBS_KEPT:
+            del self._jobs[self._finished.popleft()]
 
     # -- the HTTP surface (see repro.serve.http) --------------------------
     def accept(
@@ -771,6 +787,8 @@ class JobManager:
                         },
                     )
                     job.progress.close()
+                with self._lock:
+                    self._retire(job)
 
     def _finish_observations(
         self,

@@ -274,18 +274,22 @@ def check_source(source: str, **kwargs) -> SmvReport:
     return report
 
 
-def load_model(source: str) -> SmvModel:
+def load_model(source: str, tracer=None) -> SmvModel:
     """Parse and elaborate SMV source text.
 
     Multi-module programs are flattened into ``main`` first (synchronous
-    instantiation semantics, see :mod:`repro.smv.modules`).
+    instantiation semantics, see :mod:`repro.smv.modules`).  ``tracer``
+    records the ``smv.parse`` and ``smv.elaborate`` spans (default: the
+    process-wide :data:`~repro.obs.tracer.TRACER`).
     """
     from repro.smv.modules import flatten
     from repro.smv.parser import parse_program
 
-    with TRACER.span("smv.parse", category="smv"):
+    if tracer is None:
+        tracer = TRACER
+    with tracer.span("smv.parse", category="smv"):
         program = parse_program(source)
-    with TRACER.span("smv.elaborate", category="smv"):
+    with tracer.span("smv.elaborate", category="smv"):
         if list(program) == ["main"] and not any(
             decl.is_instance for decl in program["main"].variables
         ):

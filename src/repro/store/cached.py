@@ -16,10 +16,19 @@ measured ``user_time``), and a report-level record keyed by
 :func:`~repro.store.fingerprint.report_fingerprint` preserves the
 whole-run wall time and BDD totals, so a warm ``repro check --cache``
 prints exactly the cold run's report.
+
+A repeated submission skips the front end: once a source's check has
+been answered entirely from the store, its parsed model, restriction,
+spec texts and fingerprints stay in a bounded in-process memo
+(:class:`_FrontEndMemo`), and the next check of the same text, engine
+and options goes straight to the store probe.  Its verdicts still come
+from the store records, bound to the memoized spec and restriction.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.checking.result import CheckResult, CheckStats, bound_text
@@ -29,7 +38,11 @@ from repro.obs.tracer import TRACER
 from repro.smv.elaborate import SmvModel
 from repro.smv.pretty import spec_to_str
 from repro.smv.run import SmvReport, _counterexample_trace, check_model, load_model
-from repro.store.fingerprint import report_fingerprint, spec_fingerprint
+from repro.store.fingerprint import (
+    STORE_SCHEMA_VERSION,
+    report_fingerprint,
+    spec_fingerprint,
+)
 from repro.store.store import ResultStore, StoreRecord
 
 __all__ = ["CachedRun", "cached_check"]
@@ -92,7 +105,10 @@ def cached_check(
         only); raises :class:`~repro.parallel.workitem.ParallelError`
         when exceeded.
     tracer:
-        Tracer recording this run's spans; defaults to the process-wide
+        Tracer recording this run's spans (the front end's
+        ``smv.parse``/``smv.elaborate``/``store.fingerprint`` included,
+        or ``front_end="memo"`` on the root when the memo answered
+        them); defaults to the process-wide
         :data:`~repro.obs.tracer.TRACER`.  The serving layer passes a
         private per-request tracer (:mod:`repro.serve.jobs`) so request
         traces never touch global tracing state.
@@ -112,36 +128,35 @@ def cached_check(
     """
     if tracer is None:
         tracer = TRACER
-    model = load_model(source)
-    restriction = model.restriction
-    options = {"reflexive": bool(reflexive)}
-    spec_texts = [spec_to_str(s) for s in model.module.specs]
-    bound = [bound_text(spec, restriction) for spec in model.specs]
-    fingerprints = [
-        spec_fingerprint(
-            model, spec, restriction, engine, options, text=text
-        )
-        for spec, text in zip(model.specs, bound)
-    ]
-    count = len(model.specs)
-    results: list[CheckResult | None] = [None] * count
-    counterexamples: list = [None] * count
-    cached_flags = [False] * count
-    report_fp = report_fingerprint(model, restriction, engine, options)
-
-    root_attrs = dict(module=model.name, engine=engine)
+    key = (source, engine, bool(reflexive), STORE_SCHEMA_VERSION)
+    root_attrs = dict(module="", engine=engine)
     if trace_id:
         root_attrs["trace_id"] = trace_id
     with tracer.span(
         "store.cached_check", category="store", **root_attrs
     ) as root:
+        front = _FRONT_ENDS.get(key) if store is not None else None
+        if front is None:
+            front = _front_end(source, engine, reflexive, tracer)
+        else:
+            root.attrs["front_end"] = "memo"
+        model = front.model
+        restriction = model.restriction
+        root.attrs["module"] = model.name
+        # user_time covers the probe and the checks, not the front end
+        checking_started = root.elapsed()
+        count = len(model.specs)
+        results: list[CheckResult | None] = [None] * count
+        counterexamples: list = [None] * count
+        cached_flags = [False] * count
         with tracer.span("store.probe", category="store", specs=count):
             if store is not None:
-                for i, fp in enumerate(fingerprints):
+                for i, fp in enumerate(front.fingerprints):
                     # a record written for another spec or restriction
                     # is a miss
                     found = store.replay(
-                        fp, model.specs[i], restriction, bound[i], kind="spec"
+                        fp, model.specs[i], restriction, front.bound[i],
+                        kind="spec",
                     )
                     if found is None:
                         continue
@@ -181,7 +196,7 @@ def cached_check(
             ):
                 results[i] = result
                 counterexamples[i] = trace
-        user_time = root.elapsed()
+        user_time = root.elapsed() - checking_started
 
     run = CachedRun(
         module_name=model.name,
@@ -190,10 +205,10 @@ def cached_check(
         reflexive=reflexive,
         restriction=restriction,
         results=list(results),  # type: ignore[arg-type]
-        spec_texts=spec_texts,
+        spec_texts=list(front.spec_texts),
         counterexamples=counterexamples,
         cached_flags=cached_flags,
-        fingerprints=fingerprints,
+        fingerprints=list(front.fingerprints),
         user_time=user_time,
         num_fairness=len([f for f in restriction.fairness if f != TRUE]),
     )
@@ -210,17 +225,17 @@ def cached_check(
                 result = results[i]
                 assert result is not None
                 store.put(
-                    fingerprints[i],
+                    front.fingerprints[i],
                     StoreRecord(
                         verdict=result.holds,
                         result=result.to_dict(),
-                        spec_text=spec_texts[i],
+                        spec_text=front.spec_texts[i],
                         counterexample=counterexamples[i],
                     ),
                     kind="spec",
                 )
             store.put(
-                report_fp,
+                front.report_fp,
                 StoreRecord(
                     verdict=run.all_true,
                     meta={
@@ -235,7 +250,7 @@ def cached_check(
         else:
             # full replay: restore the cold run's report-level numbers so
             # the printed report is byte-identical to the run that wrote it
-            record = store.get(report_fp, kind="report")
+            record = store.get(front.report_fp, kind="report")
             if record is not None and record.meta:
                 run.user_time = float(record.meta.get("user_time", run.user_time))
                 run.bdd_nodes_allocated = int(
@@ -244,9 +259,98 @@ def cached_check(
                 run.transition_nodes = int(
                     record.meta.get("transition_nodes", run.transition_nodes)
                 )
+                # answered entirely from the store: a repeat may skip
+                # the front end
+                _FRONT_ENDS.admit(key, front)
             else:
                 run.user_time = merged.user_time
     return run
+
+
+@dataclass(frozen=True)
+class _FrontEnd:
+    """What :func:`cached_check` derives from a source before it probes
+    the store: the model (its restriction included), the printed spec
+    texts, the text each verdict is bound to and the content
+    addresses."""
+
+    model: SmvModel
+    spec_texts: tuple[str, ...]
+    bound: tuple[dict, ...]
+    fingerprints: tuple[str, ...]
+    report_fp: str
+
+
+def _front_end(source: str, engine: str, reflexive: bool, tracer) -> _FrontEnd:
+    """Parse, elaborate and fingerprint ``source`` (spans on ``tracer``)."""
+    model = load_model(source, tracer)
+    restriction = model.restriction
+    options = {"reflexive": bool(reflexive)}
+    with tracer.span(
+        "store.fingerprint", category="store", specs=len(model.specs)
+    ):
+        bound = tuple(bound_text(spec, restriction) for spec in model.specs)
+        fingerprints = tuple(
+            spec_fingerprint(
+                model, spec, restriction, engine, options, text=text
+            )
+            for spec, text in zip(model.specs, bound)
+        )
+        report_fp = report_fingerprint(model, restriction, engine, options)
+    return _FrontEnd(
+        model=model,
+        spec_texts=tuple(spec_to_str(s) for s in model.module.specs),
+        bound=bound,
+        fingerprints=fingerprints,
+        report_fp=report_fp,
+    )
+
+
+class _FrontEndMemo:
+    """A locked LRU of :class:`_FrontEnd` values keyed by ``(source,
+    engine, reflexive, STORE_SCHEMA_VERSION)``, at most ``size`` of them.
+
+    :func:`cached_check` consults it only when it has a store, and
+    admits a front end only after its check was answered entirely from
+    that store, so cold and store-less checks never enter: the memo
+    holds the sources that come back, not every novel one.  A hit skips
+    parsing, elaboration and fingerprinting only; every verdict still
+    comes from a store record that :meth:`ResultStore.replay` binds to
+    the memoized spec and restriction.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: OrderedDict[tuple, _FrontEnd] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> _FrontEnd | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def admit(self, key: tuple, entry: _FrontEnd) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.size:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+#: Front ends kept for repeated submissions: a fixed bound, so the memo's
+#: memory does not grow with the number of distinct sources served.
+FRONT_END_MEMO_SIZE = 64
+_FRONT_ENDS = _FrontEndMemo(FRONT_END_MEMO_SIZE)
 
 
 def _run_scheduled(

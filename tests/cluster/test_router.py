@@ -233,3 +233,58 @@ class TestDoneOnSubmit:
             assert _DoneOnSubmitShard.polls == 1  # landed reports stop polling
         finally:
             stop_server(shard, thread)
+
+
+class TestFinishedJobHistory:
+    def test_oldest_terminal_jobs_are_shed(self, monkeypatch):
+        """The router keeps the newest ``FINISHED_JOBS_KEPT`` jobs it has
+        seen terminal; a shed id answers 404, a live job is never shed."""
+        from repro.cluster import router as router_module
+        from repro.cluster.fanout import FanoutResponse
+        from repro.serve.jobs import ServeError
+
+        states: dict[str, str] = {}
+
+        def fake_fanout(requests, max_parallel=16):
+            responses = []
+            for request in requests:
+                if request.method == "POST":
+                    sub_id = f"sub{len(states)}"
+                    states[sub_id] = "running"
+                    body = {"id": sub_id, "state": "running"}
+                    status = 202
+                else:
+                    sub_id = request.url.rsplit("/", 1)[1]
+                    done = states[sub_id] == "done"
+                    body = {
+                        "id": sub_id,
+                        "state": states[sub_id],
+                        "reports": [{"label": sub_id}] if done else None,
+                    }
+                    status = 200
+                responses.append(
+                    FanoutResponse(
+                        url=request.url,
+                        status=status,
+                        body=json.dumps(body).encode(),
+                    )
+                )
+            return responses
+
+        monkeypatch.setattr(router_module, "fanout", fake_fanout)
+        monkeypatch.setattr(router_module, "FINISHED_JOBS_KEPT", 2)
+        manager = RouterManager(RingConfig.parse("127.0.0.1:9"))
+        live = manager.submit([{"source": GOOD}], None)
+        finished = [manager.submit([{"source": GOOD}], None) for _ in range(4)]
+        for job in finished:
+            states[job.parts[0].job_id] = "done"
+            for _ in range(3):  # repeated polls count a job once
+                assert manager.get(job.id)["state"] == "done"
+        for job in finished[:2]:
+            with pytest.raises(ServeError) as exc:
+                manager.get(job.id)
+            assert exc.value.status == 404
+        assert [manager.get(job.id)["state"] for job in finished[2:]] == [
+            "done", "done",
+        ]
+        assert manager.get(live.id)["state"] == "running"

@@ -1,5 +1,7 @@
 """Scheduler behavior: ordering, stats merging, trace grafting."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.casestudies.mutex import TokenRing
@@ -213,3 +215,38 @@ class TestWorkerHistory:
                     for outcome in single.run(items)
                 ]
                 assert pooled == local
+
+
+class TestProgressRouting:
+    def test_run_returns_after_every_finish_is_routed(self, scheduler):
+        """A listener unsubscribed as soon as ``run`` returns has seen
+        each item's whole event stream, however slowly it consumes: a
+        worker's heartbeats may trail its result, which otherwise drops
+        them."""
+        import threading
+        import time
+
+        seen: list[dict] = []
+        lock = threading.Lock()
+
+        def slow_listener(event):
+            time.sleep(0.02)
+            with lock:
+                seen.append(event)
+
+        items = [
+            replace(item, progress_key="k", progress_obligation=f"o{i}")
+            for i, item in enumerate(_items(4))
+        ]
+        scheduler.subscribe_progress("k", slow_listener)
+        try:
+            scheduler.run(items)
+        finally:
+            scheduler.unsubscribe_progress("k")
+        with lock:
+            finished = [e["obligation"] for e in seen
+                        if e["kind"] == "obligation.finish"]
+            kinds = [e["kind"] for e in seen if e["obligation"] == "o0"]
+        assert sorted(finished) == ["o0", "o1", "o2", "o3"]
+        assert kinds[0] == "obligation.start"
+        assert kinds[-1] == "obligation.finish"

@@ -133,6 +133,34 @@ class TestCancel:
             manager.stop()
 
 
+class TestFinishedJobHistory:
+    def test_oldest_terminal_jobs_are_shed(self, tmp_path, monkeypatch):
+        """A manager keeps the newest ``FINISHED_JOBS_KEPT`` terminal
+        jobs; a shed id answers 404, a queued job is never shed."""
+        from repro.serve import jobs as jobs_module
+        from repro.serve.jobs import ServeError
+
+        monkeypatch.setattr(jobs_module, "FINISHED_JOBS_KEPT", 3)
+        manager = JobManager(jobs=1, queue_size=8, store=ResultStore(tmp_path))
+        cancelled = [manager.submit([JobRequest(source=GOOD)]) for _ in range(3)]
+        queued = manager.submit([JobRequest(source=GOOD)])
+        cancelled += [manager.submit([JobRequest(source=GOOD)]) for _ in range(2)]
+        for job in cancelled:
+            assert manager.cancel(job.id) == "cancelled"
+        # five terminal, three kept; the older queued job stays
+        assert [manager.get(job.id) for job in cancelled[:2]] == [None, None]
+        assert manager.get(queued.id) is queued
+        manager.start()
+        assert manager.drain(timeout=60)
+        assert queued.state == "done"
+        kept = [job.id for job in (*cancelled, queued) if manager.get(job.id)]
+        assert kept == [cancelled[3].id, cancelled[4].id, queued.id]
+        assert manager.stats()["jobs_total"] == 3
+        with pytest.raises(ServeError) as exc:
+            manager.job_document(cancelled[2].id)
+        assert exc.value.status == 404
+
+
 class TestDrain:
     def test_drain_finishes_backlog(self, tmp_path):
         manager = JobManager(jobs=1, queue_size=8)

@@ -404,7 +404,10 @@ def scenario_serve(artifacts: pathlib.Path) -> None:
     trace ids and stage timings, a span tree whose worker spans share
     the trace id; ``/metrics`` counters that reconcile with the two runs
     and well-formed histograms; one redacted ``job.submitted`` +
-    ``job.done`` pair per batch in the event log.  Then an AFS-2 batch
+    ``job.done`` pair per batch in the event log.  A third submission
+    of the batch skips the front end (its traces mark the memo hit and
+    hold no ``smv.parse``) with reports byte-identical to the second's.
+    Then an AFS-2 batch
     streamed live over SSE: strictly increasing sequence numbers,
     obligation states that only advance, heartbeat ticks from inside the
     fixpoints, zero stalls, and a job document that agrees with the
@@ -532,6 +535,25 @@ def scenario_serve(artifacts: pathlib.Path) -> None:
                 if not str(digest).startswith("sha256:"):
                     fail(f"unredacted source in event log: {digest!r}")
         print(f"event log: {len(events)} events, sources redacted to digests")
+
+        # -- front-end memo ----------------------------------------------
+        # the second batch, answered entirely from the store, admitted
+        # each source's front end: a third skips parse and elaboration
+        third = finished(client.check(batch, wait_timeout=300), "third batch")
+        if third["reports"] != second["reports"]:
+            fail("memo-hit reports differ from the store replay's")
+        spans = client.job_trace(third["id"])["spans"]
+        checks = [s for s in spans if s["name"] == "store.cached_check"]
+        if len(checks) != len(batch) or any(
+            s.get("attrs", {}).get("front_end") != "memo" for s in checks
+        ):
+            fail("the third batch's checks did not hit the front-end memo")
+        front = {s["name"] for s in spans} & {
+            "smv.parse", "smv.elaborate", "store.fingerprint"
+        }
+        if front:
+            fail(f"a memo hit still ran the front end: {sorted(front)}")
+        print("third batch: front-end memo hit, reports byte-identical")
 
         # -- live progress over SSE --------------------------------------
         # the figure specs (Srv1/Srv2/Cli1) are AX-shaped; one AG EF
