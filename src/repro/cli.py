@@ -446,11 +446,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         from repro.cluster.router import RouterManager, create_router
         from repro.serve.http import serve_forever
 
-        manager = RouterManager(
-            config,
-            timeout=args.peer_timeout,
-            max_parallel=args.max_parallel,
-        )
+        manager = RouterManager(config, timeout=args.peer_timeout)
         server = create_router(
             args.host, args.port, config=config, manager=manager
         )
@@ -881,13 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         metavar="SECONDS",
         help="per-shard request timeout (submit, poll, health probe)",
-    )
-    cluster.add_argument(
-        "--max-parallel",
-        type=int,
-        default=16,
-        metavar="N",
-        help="concurrent shard connections in the router's fan-out loop",
     )
     cluster.add_argument(
         "--json",

@@ -8,9 +8,10 @@ shards cleanly across machines.  ``repro.cluster`` makes a set of
 * :mod:`repro.cluster.ring` — a deterministic consistent-hash ring
   (vnode-based, SHA-256 keyed) assigning every fingerprint an owner
   shard, with minimal remapping when membership changes;
-* :mod:`repro.cluster.fanout` — a bounded selector-loop HTTP client
-  that fans requests out to many peers concurrently without a thread
-  per peer;
+* :mod:`repro.cluster.fanout` — sends many requests to many peers
+  concurrently: the program's one HTTP client exchange
+  (:func:`repro.serve.client.exchange`) mapped over a shared pool of
+  16 threads, replies in input order, a peer failure in its own reply;
 * :mod:`repro.cluster.peers` — the peer store tier: on a local store
   miss, probe the fingerprint's owner shard (``GET
   /v1/store/<fingerprint>``) before checking, write fetched records

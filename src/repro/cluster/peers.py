@@ -21,18 +21,15 @@ for a cool-down window.  A peer failure is a counted event
 
 from __future__ import annotations
 
-import json
 import queue
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 
 from repro.cluster.ring import RingConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.client import open_url
+from repro.serve.client import Reply, exchange
 from repro.store.store import ResultStore, StoreRecord
 
 __all__ = [
@@ -158,64 +155,46 @@ class PeerClient:
         self.backoff = backoff
         self._rng = rng if rng is not None else random.Random()
 
-    def _sleep(self, attempt: int) -> None:
-        base = self.backoff * (2**attempt)
-        time.sleep(base + self._rng.uniform(0.0, base))
+    def _exchange(
+        self, method: str, path: str, payload: dict | None = None
+    ) -> Reply:
+        """One exchange, a transport failure retried with backoff + jitter."""
+        for attempt in range(self.retries + 1):
+            if attempt:
+                base = self.backoff * (2 ** (attempt - 1))
+                time.sleep(base + self._rng.uniform(0.0, base))
+            reply = exchange(
+                f"{self.url}{path}", method, payload, timeout=self.timeout
+            )
+            if reply.error is None:
+                return reply
+        raise PeerError(f"{self.url}: {reply.error}")
 
     def fetch(self, fingerprint: str, kind: str | None = None) -> dict | None:
         """The record dict at the peer, or ``None`` on a definitive miss."""
         suffix = f"?kind={kind}" if kind else ""
-        request = urllib.request.Request(
-            f"{self.url}/v1/store/{fingerprint}{suffix}",
-            headers={"Accept": "application/json"},
-        )
-        for attempt in range(self.retries + 1):
-            try:
-                with open_url(request, timeout=self.timeout) as resp:
-                    payload = json.loads(resp.read().decode())
-            except urllib.error.HTTPError as exc:
-                exc.read()
-                if exc.code == 404:
-                    return None
-                raise PeerError(f"{self.url}: HTTP {exc.code}") from None
-            except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                if attempt >= self.retries:
-                    reason = getattr(exc, "reason", exc)
-                    raise PeerError(f"{self.url}: {reason}") from None
-                self._sleep(attempt)
-                continue
-            except ValueError as exc:
-                raise PeerError(f"{self.url}: bad JSON: {exc}") from None
-            record = payload.get("record") if isinstance(payload, dict) else None
-            if not isinstance(record, dict):
-                raise PeerError(f"{self.url}: malformed store payload")
-            return record
-        return None  # pragma: no cover - loop always returns/raises
+        reply = self._exchange("GET", f"/v1/store/{fingerprint}{suffix}")
+        if reply.status == 404:
+            return None
+        if reply.status != 200:
+            raise PeerError(f"{self.url}: HTTP {reply.status}")
+        payload = reply.json()
+        record = payload.get("record") if payload is not None else None
+        if not isinstance(record, dict):
+            raise PeerError(f"{self.url}: malformed store payload")
+        return record
 
     def push(
         self, fingerprint: str, record: dict, kind: str | None = None
     ) -> None:
         """``PUT`` a record to the peer (replicating to the ring owner)."""
-        body = json.dumps({"record": record, "kind": kind or ""}).encode()
-        request = urllib.request.Request(
-            f"{self.url}/v1/store/{fingerprint}",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="PUT",
+        reply = self._exchange(
+            "PUT",
+            f"/v1/store/{fingerprint}",
+            {"record": record, "kind": kind or ""},
         )
-        for attempt in range(self.retries + 1):
-            try:
-                with open_url(request, timeout=self.timeout) as resp:
-                    resp.read()
-                return
-            except urllib.error.HTTPError as exc:
-                exc.read()
-                raise PeerError(f"{self.url}: HTTP {exc.code}") from None
-            except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                if attempt >= self.retries:
-                    reason = getattr(exc, "reason", exc)
-                    raise PeerError(f"{self.url}: {reason}") from None
-                self._sleep(attempt)
+        if reply.status != 200:
+            raise PeerError(f"{self.url}: HTTP {reply.status}")
 
 
 class PeerSet:
@@ -238,13 +217,11 @@ class PeerSet:
         backoff: float = DEFAULT_BACKOFF,
         failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         reset_seconds: float = DEFAULT_RESET_SECONDS,
-        probe_siblings: bool = True,
         clock=time.monotonic,
         rng: random.Random | None = None,
     ):
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.probe_siblings = probe_siblings
         self._clients = {
             shard: PeerClient(
                 config.url_of(shard),
@@ -274,19 +251,12 @@ class PeerSet:
         """Peers to probe for a fingerprint: owner first, then siblings.
 
         Our own shard never appears (a local miss already happened).
-        With ``probe_siblings`` off only the owner (when remote) is
-        probed — the cheap configuration once push-to-owner has
-        converged; on (the default) the remaining peers follow in ring
-        preference order, which keeps a record computed moments ago on a
-        non-owner shard reachable before its push lands.
+        The remaining peers follow the owner in ring preference order,
+        which keeps a record computed moments ago on a non-owner shard
+        reachable before its push lands.
         """
         order = self.config.ring.preference(fingerprint)
-        remote = [s for s in order if s in self._clients]
-        if not remote:
-            return []
-        if self.probe_siblings:
-            return remote
-        return remote[:1] if order[0] == remote[0] else []
+        return [shard for shard in order if shard in self._clients]
 
     def owner_of(self, fingerprint: str) -> str:
         return self.config.ring.owner(fingerprint)
@@ -429,7 +399,6 @@ class PeerSet:
             "self": self.config.self_id,
             "members": list(self.config.shard_ids),
             "vnodes": self.config.vnodes,
-            "probe_siblings": self.probe_siblings,
             "peers": {
                 shard: {"state": self._breakers[shard].state}
                 for shard in sorted(self._clients)

@@ -3,12 +3,12 @@
 A :class:`RouterManager` accepts the service's existing batch API,
 splits each submission into per-shard sub-jobs — every check routed to
 the owner of its :func:`~repro.cluster.ring.request_fingerprint` — and
-submits them concurrently through the bounded selector fan-out of
-:mod:`repro.cluster.fanout` (one thread, ``max_parallel`` sockets; a
-slow shard never pins a thread).  ``GET /v1/jobs/<id>`` fans the poll
-back out and folds the shard documents into one aggregate: reports in
-the caller's original check order, worst shard state wins, a ``shards``
-block attributing each slice.
+submits them concurrently through :mod:`repro.cluster.fanout` (the
+program's one HTTP client exchange, mapped over a shared thread pool;
+a dead shard fails only its own request).  ``GET /v1/jobs/<id>`` fans
+the poll back out and folds the shard documents into one aggregate:
+reports in the caller's original check order, worst shard state wins, a
+``shards`` block attributing each slice.
 
 Shard failures degrade, they don't fail: a shard whose submission is
 refused (or whose circuit breaker is open) has its checks *failed over*
@@ -49,8 +49,9 @@ import time
 import uuid
 from collections import deque
 from dataclasses import asdict, dataclass
+from itertools import islice
 
-from repro.cluster.fanout import FanoutRequest, FanoutResponse, fanout
+from repro.cluster.fanout import FanoutRequest, fanout
 from repro.cluster.peers import CircuitBreaker, peer_metric_name
 from repro.cluster.ring import RingConfig, request_fingerprint
 from repro.obs.export import (
@@ -63,7 +64,7 @@ from repro.obs.merge import graft_records
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressBus
 from repro.obs.tracer import TraceContext, Tracer
-from repro.serve.client import ServeClient, ServeClientError
+from repro.serve.client import Reply, ServeClient, ServeClientError
 from repro.serve.http import ReproServer
 from repro.serve.jobs import (
     FINISHED_JOBS_KEPT,
@@ -158,7 +159,6 @@ class RouterManager:
         config: RingConfig,
         metrics: MetricsRegistry | None = None,
         timeout: float = 10.0,
-        max_parallel: int = 16,
         failure_threshold: int = 3,
         reset_seconds: float = 10.0,
         clock=time.monotonic,
@@ -166,7 +166,6 @@ class RouterManager:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.timeout = timeout
-        self.max_parallel = max_parallel
         self.started_wall = time.time()
         self.draining = False
         self._jobs: dict[str, _RoutedJob] = {}
@@ -182,14 +181,13 @@ class RouterManager:
             for shard in config.shard_ids
         }
 
-    def _fan(self, urls, method: str = "GET") -> list[FanoutResponse]:
-        """One bounded fan-out of body-less requests, in ``urls`` order."""
+    def _fan(self, urls, method: str = "GET") -> list[Reply]:
+        """One fan-out of body-less requests, in ``urls`` order."""
         return fanout(
             [
                 FanoutRequest(url=url, method=method, timeout=self.timeout)
                 for url in urls
-            ],
-            max_parallel=self.max_parallel,
+            ]
         )
 
     # -- routing ---------------------------------------------------------
@@ -248,7 +246,33 @@ class RouterManager:
         self.metrics.add("router.checks_routed", len(checks))
         with self._lock:
             self._jobs[job.id] = job
+        self._shed_unpolled()
         return job
+
+    def _shed_unpolled(self) -> None:
+        """Refresh the oldest jobs past the unretired bound; retire the
+        terminal ones.
+
+        A client may submit and never poll to completion, so past
+        :data:`~repro.serve.jobs.FINISHED_JOBS_KEPT` unretired jobs each
+        submission polls the oldest excess in one fan-out.  A job still
+        running stays (and is polled again next time), which widens the
+        next probe by one, so the excess shrinks as soon as old jobs end.
+        """
+        with self._lock:
+            excess = len(self._jobs) - len(self._finished) - FINISHED_JOBS_KEPT
+            oldest = list(
+                islice(
+                    (job for job in self._jobs.values() if not job.retired),
+                    max(excess, 0),
+                )
+            )
+        if not oldest:
+            return
+        self._refresh(*oldest)
+        for job in oldest:
+            if self._document(job)["state"] in TERMINAL_STATES:
+                self._retire(job)
 
     def accept(
         self,
@@ -293,7 +317,7 @@ class RouterManager:
                 )
             )
         started = time.perf_counter()
-        responses = fanout(requests, max_parallel=self.max_parallel)
+        responses = fanout(requests)
         self.metrics.observe(
             "router.submit_seconds", time.perf_counter() - started
         )
@@ -377,8 +401,9 @@ class RouterManager:
     def _retire(self, job: _RoutedJob) -> None:
         """Count a job seen terminal and shed the oldest such jobs past
         :data:`~repro.serve.jobs.FINISHED_JOBS_KEPT`.  The router learns
-        a job's state only from a poll, so a job never seen terminal is
-        never shed."""
+        a job's state only from a poll (a client's, or
+        :meth:`_shed_unpolled`'s), so a job never seen terminal is never
+        shed."""
         with self._lock:
             if job.retired:
                 return
@@ -389,8 +414,9 @@ class RouterManager:
 
     job_document = get
 
-    def _refresh(self, job: _RoutedJob) -> None:
-        """Poll every slice whose outcome has not landed, concurrently.
+    def _refresh(self, *jobs: _RoutedJob) -> None:
+        """Poll every slice of ``jobs`` whose outcome has not landed, in
+        one fan-out.
 
         That is every non-terminal slice, and every ``done`` one still
         without reports: a shard that replays a whole slice from its
@@ -399,6 +425,7 @@ class RouterManager:
         """
         live = [
             p
+            for job in jobs
             for p in job.parts
             if p.job_id is not None
             and (

@@ -1,10 +1,17 @@
-"""A thin ``urllib`` client for the checking service.
+"""The program's one HTTP client, and the checking service's client.
 
-:class:`ServeClient` speaks the service's JSON protocol with nothing
-beyond the standard library — it is what ``repro submit`` uses, and
-what tests drive the server with.  Errors come back as
-:class:`ServeClientError` carrying the HTTP status and the server's
-``error`` message.
+:func:`exchange` makes every outbound request the program sends: the
+router's fan-out, the peer store's probes and pushes, and
+:class:`ServeClient` (what ``repro submit`` uses, and what tests drive
+the server with).  It runs on :class:`http.client.HTTPConnection`,
+which connects straight to the URL's host and never reads
+``http_proxy`` from the environment, so a proxy set for the outside
+world cannot capture loopback or ring traffic.  A transport failure
+never raises out of :func:`exchange`: it lands in :attr:`Reply.error`.
+
+:class:`ServeClient` speaks the service's JSON protocol over it.  Its
+errors come back as :class:`ServeClientError` carrying the HTTP status
+and the server's ``error`` message.
 """
 
 from __future__ import annotations
@@ -12,23 +19,106 @@ from __future__ import annotations
 import http.client
 import json
 import time
-import urllib.error
-import urllib.request
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from urllib.parse import urlsplit
 
 from repro.errors import ReproError
 
-__all__ = ["ServeClient", "ServeClientError", "open_url"]
-
-#: Service and peer traffic goes straight to its host, like the
-#: router's fan-out sockets: an ``http_proxy`` set for the outside
-#: world must not capture loopback or ring requests.
-_OPENER = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+__all__ = ["Reply", "ServeClient", "ServeClientError", "exchange"]
 
 
-def open_url(request: urllib.request.Request, timeout: float):
-    """``urllib.request.urlopen`` that ignores proxy environment variables."""
-    return _OPENER.open(request, timeout=timeout)
+@dataclass
+class Reply:
+    """The outcome of one :func:`exchange`: a status and body, or an error."""
+
+    status: int | None = None
+    headers: Mapping[str, str] = field(default_factory=dict)
+    body: bytes = b""
+    error: str | None = None
+    seconds: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None and self.status is not None
+
+    def json(self) -> dict | None:
+        """The body decoded as a JSON object, or ``None`` when it is not one."""
+        try:
+            data = json.loads(self.body.decode())
+        except (ValueError, UnicodeDecodeError):
+            return None
+        return data if isinstance(data, dict) else None
+
+
+@contextmanager
+def _open(
+    url: str,
+    method: str = "GET",
+    payload: dict | None = None,
+    headers: dict | None = None,
+    timeout: float = 5.0,
+) -> Iterator[http.client.HTTPResponse]:
+    """Send one request on a fresh connection; yield its response.
+
+    ``timeout`` bounds the connect and every socket read.  The
+    connection is closed when the block exits.
+    """
+    parts = urlsplit(url)
+    target = parts.path or "/"
+    if parts.query:
+        target = f"{target}?{parts.query}"
+    body = None if payload is None else json.dumps(payload).encode()
+    sent = {"Connection": "close", "Accept": "application/json"}
+    if body is not None:
+        sent["Content-Type"] = "application/json"
+    sent.update(headers or {})
+    connection = http.client.HTTPConnection(
+        parts.hostname, parts.port, timeout=timeout
+    )
+    try:
+        connection.request(method, target, body=body, headers=sent)
+        yield connection.getresponse()
+    finally:
+        connection.close()
+
+
+def exchange(
+    url: str,
+    method: str = "GET",
+    payload: dict | None = None,
+    headers: dict | None = None,
+    timeout: float = 5.0,
+) -> Reply:
+    """One HTTP request to an absolute ``http://`` URL; never raises.
+
+    ``payload`` is sent JSON-encoded.  A refused connection, a reset or
+    a timeout becomes :attr:`Reply.error` (``"timed out after ..."`` for
+    a timeout); any status, 4xx and 5xx included, is a reply.
+    """
+    reply = Reply()
+    started = time.perf_counter()
+    try:
+        with _open(url, method, payload, headers, timeout) as response:
+            reply.status = response.status
+            reply.headers = response.headers
+            reply.body = response.read()
+    except TimeoutError:
+        reply.error = f"timed out after {timeout:g} s"
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        reply.error = f"{type(exc).__name__}: {exc}"
+    reply.seconds = time.perf_counter() - started
+    return reply
+
+
+def _error_message(body: bytes) -> str:
+    """The ``error`` field of a JSON error body, else the body itself."""
+    text = body.decode("utf-8", "replace")
+    try:
+        return str(json.loads(text).get("error", text))
+    except (ValueError, AttributeError):
+        return text
 
 
 class ServeClientError(ReproError):
@@ -82,35 +172,24 @@ class ServeClient:
         payload: dict | None,
         timeout: float | None,
     ) -> dict | str:
-        data = None
-        headers = {}
-        if payload is not None:
-            data = json.dumps(payload).encode()
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            f"{self.url}{path}", data=data, headers=headers, method=method
+        reply = exchange(
+            f"{self.url}{path}",
+            method,
+            payload,
+            timeout=self.timeout if timeout is None else timeout,
         )
-        effective = self.timeout if timeout is None else timeout
-        try:
-            with open_url(request, timeout=effective) as resp:
-                body = resp.read().decode()
-                content_type = resp.headers.get("Content-Type", "")
-        except urllib.error.HTTPError as exc:
-            body = exc.read().decode()
+        if reply.error is not None:
+            raise ServeClientError(0, f"cannot reach {self.url}: {reply.error}")
+        if not 200 <= reply.status < 300:
             try:
-                message = json.loads(body).get("error", body)
-            except ValueError:
-                message = body
-            try:
-                retry_after = float(exc.headers.get("Retry-After", ""))
+                retry_after = float(reply.headers.get("Retry-After", ""))
             except (TypeError, ValueError):
                 retry_after = None
             raise ServeClientError(
-                exc.code, message, retry_after=retry_after
-            ) from None
-        except urllib.error.URLError as exc:
-            raise ServeClientError(0, f"cannot reach {self.url}: {exc.reason}") from None
-        if content_type.startswith("application/json"):
+                reply.status, _error_message(reply.body), retry_after
+            )
+        body = reply.body.decode()
+        if reply.headers.get("Content-Type", "").startswith("application/json"):
             return json.loads(body)
         return body
 
@@ -121,12 +200,11 @@ class ServeClient:
         payload: dict | None = None,
         timeout: float | None = None,
     ) -> dict | str:
-        last: ServeClientError | None = None
-        for attempt in range(self.retries + 1):
+        attempt = 0
+        while True:
             try:
                 return self._request_once(method, path, payload, timeout)
             except ServeClientError as exc:
-                last = exc
                 retriable = exc.status == 429 or (
                     # transport failure (reset, refused, timeout): replay
                     # only requests that are safe to repeat
@@ -139,15 +217,7 @@ class ServeClient:
                 if exc.status == 429 and exc.retry_after is not None:
                     delay = exc.retry_after
                 time.sleep(min(delay, MAX_BACKOFF_SECONDS))
-            except (OSError, http.client.HTTPException) as exc:
-                # raw socket errors surfacing outside urllib's wrapper
-                last = ServeClientError(0, f"{type(exc).__name__}: {exc}")
-                if method != "GET" or attempt >= self.retries:
-                    raise last from None
-                time.sleep(
-                    min(self.backoff * (2**attempt), MAX_BACKOFF_SECONDS)
-                )
-        raise last if last is not None else AssertionError("unreachable")
+            attempt += 1
 
     # -- API -------------------------------------------------------------
     def submit(
@@ -281,33 +351,22 @@ class ServeClient:
         drops = 0
         connected = False
         while True:
-            request = urllib.request.Request(
-                f"{self.url}/v1/jobs/{job_id}/events",
-                headers={
-                    "Accept": "text/event-stream",
-                    "Last-Event-ID": str(since),
-                },
-            )
-            response = None
-            error: str | None = None
+            clean_end = False
+            error = "stream closed before its end frame"
             try:
-                response = open_url(request, timeout=self.timeout)
-            except urllib.error.HTTPError as exc:
-                body = exc.read().decode()
-                try:
-                    message = json.loads(body).get("error", body)
-                except ValueError:
-                    message = body
-                raise ServeClientError(exc.code, message) from None
-            except urllib.error.URLError as exc:
-                error = f"cannot reach {self.url}: {exc.reason}"
-                if not connected:
-                    raise ServeClientError(0, error) from None
-            if response is not None:
-                connected = True
-                clean_end = False
-                error = "stream closed before its end frame"
-                try:
+                with _open(
+                    f"{self.url}/v1/jobs/{job_id}/events",
+                    headers={
+                        "Accept": "text/event-stream",
+                        "Last-Event-ID": str(since),
+                    },
+                    timeout=self.timeout,
+                ) as response:
+                    if response.status != 200:
+                        raise ServeClientError(
+                            response.status, _error_message(response.read())
+                        )
+                    connected = True
                     for frame in _iter_sse_frames(response):
                         if frame.get("event") == "end":
                             clean_end = True
@@ -319,17 +378,15 @@ class ServeClient:
                         if isinstance(event.get("seq"), int):
                             since = max(since, event["seq"])
                         yield event
-                except (
-                    TimeoutError,
-                    OSError,
-                    http.client.HTTPException,
-                ) as exc:
-                    # dropped mid-stream; reconnect below
-                    error = f"{type(exc).__name__}: {exc}"
-                finally:
-                    response.close()
-                if clean_end:
-                    return
+            except (OSError, http.client.HTTPException) as exc:
+                if not connected:
+                    raise ServeClientError(
+                        0, f"cannot reach {self.url}: {exc}"
+                    ) from None
+                # dropped mid-stream, or the reconnect failed
+                error = f"{type(exc).__name__}: {exc}"
+            if clean_end:
+                return
             if not reconnect:
                 return
             drops += 1

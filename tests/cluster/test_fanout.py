@@ -1,4 +1,4 @@
-"""The bounded selector-loop fan-out client, against stdlib servers."""
+"""The thread-pool fan-out client, against stdlib servers."""
 
 import json
 import socket
@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from repro.cluster import fanout as fanout_module
 from repro.cluster.fanout import FanoutRequest, fanout
 
 
@@ -54,12 +55,16 @@ def closed_port_url() -> str:
 
 
 class TestFanout:
-    def test_responses_in_input_order(self, echo_server):
+    def test_responses_in_input_order(self, echo_server, monkeypatch):
+        monkeypatch.setattr(fanout_module, "POOL_WIDTH", 3)  # bounded < items
+        monkeypatch.setattr(fanout_module, "_pool", None)
         requests = [
             FanoutRequest(url=f"{echo_server}/r{i}", timeout=5.0)
             for i in range(10)
         ]
-        responses = fanout(requests, max_parallel=3)  # bounded < items
+        responses = fanout(requests)
+        fanout_module._pool.shutdown()
+        assert fanout_module._pool._max_workers == 3
         assert [r.json()["path"] for r in responses] == [
             f"/r{i}" for i in range(10)
         ]

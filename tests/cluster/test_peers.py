@@ -230,12 +230,9 @@ class TestPeerSetRouting:
         config = RingConfig.parse(f"{me},{other}", self_url=me)
         peers = PeerSet(config)
         fp = fingerprint_owned_by(config, me)
-        # owner is us: with sibling probing the other member still
-        # appears (it may hold a not-yet-pushed record)...
+        # owner is us: the other member still appears (it may hold a
+        # not-yet-pushed record)
         assert peers.candidates(fp) == [other]
-        # ...without it, nothing is probed at all
-        peers.probe_siblings = False
-        assert peers.candidates(fp) == []
         lone = PeerSet(RingConfig.parse(me, self_url=me))
         assert lone.candidates(fp) == []
 

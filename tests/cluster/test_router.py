@@ -236,16 +236,15 @@ class TestDoneOnSubmit:
 
 
 class TestFinishedJobHistory:
-    def test_oldest_terminal_jobs_are_shed(self, monkeypatch):
-        """The router keeps the newest ``FINISHED_JOBS_KEPT`` jobs it has
-        seen terminal; a shed id answers 404, a live job is never shed."""
+    @staticmethod
+    def _router(monkeypatch, states: dict[str, str]) -> RouterManager:
+        """A router keeping 2 finished jobs over a fake fan-out: each
+        ``POST`` opens a ``running`` sub-job, each poll answers
+        ``states``; a ``done`` sub-job carries reports."""
         from repro.cluster import router as router_module
-        from repro.cluster.fanout import FanoutResponse
-        from repro.serve.jobs import ServeError
+        from repro.serve.client import Reply
 
-        states: dict[str, str] = {}
-
-        def fake_fanout(requests, max_parallel=16):
+        def fake_fanout(requests):
             responses = []
             for request in requests:
                 if request.method == "POST":
@@ -263,17 +262,21 @@ class TestFinishedJobHistory:
                     }
                     status = 200
                 responses.append(
-                    FanoutResponse(
-                        url=request.url,
-                        status=status,
-                        body=json.dumps(body).encode(),
-                    )
+                    Reply(status=status, body=json.dumps(body).encode())
                 )
             return responses
 
         monkeypatch.setattr(router_module, "fanout", fake_fanout)
         monkeypatch.setattr(router_module, "FINISHED_JOBS_KEPT", 2)
-        manager = RouterManager(RingConfig.parse("127.0.0.1:9"))
+        return RouterManager(RingConfig.parse("127.0.0.1:9"))
+
+    def test_oldest_terminal_jobs_are_shed(self, monkeypatch):
+        """The router keeps the newest ``FINISHED_JOBS_KEPT`` jobs it has
+        seen terminal; a shed id answers 404, a live job is never shed."""
+        from repro.serve.jobs import ServeError
+
+        states: dict[str, str] = {}
+        manager = self._router(monkeypatch, states)
         live = manager.submit([{"source": GOOD}], None)
         finished = [manager.submit([{"source": GOOD}], None) for _ in range(4)]
         for job in finished:
@@ -288,3 +291,26 @@ class TestFinishedJobHistory:
             "done", "done",
         ]
         assert manager.get(live.id)["state"] == "running"
+
+    def test_never_polled_jobs_are_shed_once_terminal(self, monkeypatch):
+        """Jobs no client polls to completion still leave a bounded table:
+        a submission past the unretired bound refreshes the oldest
+        unretired jobs and retires the terminal ones; a running job is
+        never shed."""
+        from repro.serve.jobs import ServeError
+
+        states: dict[str, str] = {}
+        manager = self._router(monkeypatch, states)
+        live = manager.submit([{"source": GOOD}], None)
+        submitted = []
+        for _ in range(12):
+            job = manager.submit([{"source": GOOD}], None)
+            states[job.parts[0].job_id] = "done"  # finished, never polled
+            submitted.append(job)
+            # at most 2 retired, 2 unretired past the bound, and live
+            assert len(manager._jobs) <= 5
+        with pytest.raises(ServeError) as exc:
+            manager.get(submitted[0].id)
+        assert exc.value.status == 404
+        assert manager.get(live.id)["state"] == "running"
+        assert manager.get(submitted[-1].id)["state"] == "done"

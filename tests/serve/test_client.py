@@ -1,4 +1,5 @@
-"""``ServeClient`` and ``PeerClient`` transport rules against a stub server.
+"""``ServeClient``, ``PeerClient`` and ``fanout`` transport rules against a
+stub server.
 
 The stub answers each request with the next scripted action for its
 method and counts the requests it saw, so retry rules are pinned by
@@ -8,11 +9,11 @@ request counts alone, never by timing.
 import json
 import socket
 import threading
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from repro.cluster.fanout import FanoutRequest, fanout
 from repro.cluster.peers import PeerClient
 from repro.serve.client import ServeClient, ServeClientError
 
@@ -126,10 +127,6 @@ def dead_proxy(monkeypatch):
         monkeypatch.setenv(name, proxy)
     for name in ("no_proxy", "NO_PROXY"):
         monkeypatch.delenv(name, raising=False)
-    # urllib's default opener reads the environment when first built
-    urllib.request.install_opener(None)
-    yield
-    urllib.request.install_opener(None)
 
 
 class TestNoProxy:
@@ -141,3 +138,11 @@ class TestNoProxy:
         record = {"verdict": True}
         server = stub({"GET": [(200, {}, {"record": record})]})
         assert PeerClient(server.url, retries=0).fetch("ab" * 32) == record
+
+    def test_fanout_ignores_http_proxy(self, stub, dead_proxy):
+        server = stub()
+        requests = [FanoutRequest(url=f"{server.url}/healthz")] * 2
+        assert [reply.json() for reply in fanout(requests)] == [
+            {"ok": True},
+            {"ok": True},
+        ]

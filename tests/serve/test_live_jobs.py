@@ -386,24 +386,17 @@ class TestOperationalSurface:
 
         captured = []
 
-        class FakeResponse:
-            headers = {"Content-Type": "application/json"}
-
-            def read(self):
-                return b"{}"
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-        def fake_urlopen(request, timeout=None):
+        def fake_exchange(url, method="GET", payload=None, headers=None,
+                          timeout=None):
             captured.append(timeout)
-            return FakeResponse()
+            return repro.serve.client.Reply(
+                status=200,
+                headers={"Content-Type": "application/json"},
+                body=b"{}",
+            )
 
-        # every client request goes through the proxy-free opener
-        monkeypatch.setattr(repro.serve.client, "open_url", fake_urlopen)
+        # every client request goes through the one client exchange
+        monkeypatch.setattr(repro.serve.client, "exchange", fake_exchange)
         client = ServeClient("http://example.invalid", timeout=12.5)
         client.healthz()  # no override: the client default applies
         client.healthz(request_timeout=3.0)  # per-request override wins
