@@ -68,6 +68,16 @@ held by clients (transition relations, checker memos) stay valid for
 the manager's lifetime.  The reachable size of a root is
 :meth:`BDD.node_count`, of several roots
 :func:`repro.bdd.order.shared_size`.
+
+Snapshots: :meth:`BDD.snapshot` serializes the manager to bytes — a
+magic/version prefix, a compact JSON header (variable order, node
+counts), and the three parallel node arrays as packed little-endian
+int64 (``array('q')``) blobs, with no per-node object traversal in
+either direction.  :meth:`BDD.restore` / :meth:`BDD.from_snapshot`
+rebuild the per-level unique subtables in one linear pass.  Node ids
+are stable across the round trip, so shipped ids (e.g. a
+``SnapshotSpec``'s partitions) index directly into the restored
+manager.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ The counters are cumulative over the manager's lifetime; use
 :meth:`BDDStats.snapshot` before a run and :meth:`BDDStats.delta`
 afterwards to attribute costs to one model-checking call (this is how
 :class:`repro.checking.result.CheckStats` fills its cache fields).
+
+``BDD.stats`` exposes these engine-level counters; ``CheckResult.stats``
+carries per-check resource usage, including the engine counters
+accumulated during that check.
 """
 
 from __future__ import annotations

@@ -401,8 +401,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=store,
         default_timeout=args.timeout,
         metrics=metrics,
-        trace_requests=not args.no_request_traces,
-        progress=not args.no_progress,
         progress_interval=args.progress_interval,
         stall_deadline=args.stall_deadline,
         shard_id=ring_config.self_id or "" if ring_config else "",
@@ -790,18 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("debug", "info", "warning", "error"),
         default="info",
         help="minimum event level written to --log-file",
-    )
-    serve.add_argument(
-        "--no-request-traces",
-        action="store_true",
-        help="skip recording per-request span traces (disables "
-        "GET /v1/jobs/<id>/trace; sheds recording overhead under load)",
-    )
-    serve.add_argument(
-        "--no-progress",
-        action="store_true",
-        help="skip recording live obligation progress (disables "
-        "GET /v1/jobs/<id>/events and the stall watchdog)",
     )
     serve.add_argument(
         "--progress-interval",

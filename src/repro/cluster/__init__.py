@@ -23,9 +23,15 @@ shards cleanly across machines.  ``repro.cluster`` makes a set of
   ``/v1/check`` API, splitting batches into per-check work routed to
   owner shards and fanning the results back into one job document.
 
-Start a cluster with ``repro serve --ring ... --advertise ...`` per
-instance plus ``repro cluster router --ring ...``; inspect it with
-``repro cluster status --ring ...``.
+Every interaction with a peer goes through one ``exchange`` on
+``http.client``, which never reads ``http_proxy``.  ``/healthz``
+reports ring membership and per-peer breaker states; ``/metrics`` adds
+per-peer latency histograms and ``repro_cluster_peer_fetch_*``
+counters.  Start a cluster with ``repro serve --ring ... --advertise
+...`` per instance plus ``repro cluster router --ring ...``; inspect it
+with ``repro cluster status --ring ...``.  The benchmark's
+``cluster-batch`` workload times novel, repeat and peer-fetch batches
+on two ring members and a router.
 """
 
 from repro.cluster.ring import HashRing, RingConfig, request_fingerprint

@@ -29,6 +29,7 @@ from collections import deque
 
 from repro.cluster.ring import RingConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import TIMER
 from repro.serve.client import Reply, exchange
 from repro.store.store import ResultStore, StoreRecord
 
@@ -277,9 +278,11 @@ class PeerSet:
             if not breaker.allow():
                 self.metrics.add("cluster.peer_fetch.skipped")
                 continue
-            started = time.perf_counter()
             try:
-                record = self._clients[shard].fetch(fingerprint, kind=kind)
+                with TIMER.span("cluster.peer_fetch") as span:
+                    record = self._clients[shard].fetch(
+                        fingerprint, kind=kind
+                    )
             except PeerError as exc:
                 failed = True
                 self.metrics.add("cluster.peer_fetch.error")
@@ -288,7 +291,7 @@ class PeerSet:
             self._record_success(shard)
             self.metrics.observe(
                 f"cluster.peer.{peer_metric_name(shard)}.fetch_seconds",
-                time.perf_counter() - started,
+                span.duration,
             )
             if record is not None:
                 self.metrics.add("cluster.peer_fetch.hit")

@@ -35,7 +35,11 @@ The router is also the cluster's observability plane:
   :meth:`~repro.obs.metrics.MetricsRegistry.merge` and rendered once;
 * ``GET /v1/jobs/<id>/events`` multiplexes every owner shard's SSE
   stream into one ordered, shard-tagged stream with ``Last-Event-ID``
-  resume.
+  resume; shard-local stamps are kept as ``shard_seq``/``shard_ts``,
+  and a reconnect surfaces as ``shard.stream_degraded``;
+* a member that fails a scrape counts in
+  ``repro_cluster_scrape_errors``.  ``repro cluster status --ring ...
+  --watch`` shows it all live.
 
 ``repro cluster router --ring ...`` runs one of these; any
 :class:`~repro.serve.client.ServeClient` pointed at it sees a normal
@@ -63,7 +67,7 @@ from repro.obs.export import (
 from repro.obs.merge import graft_records
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressBus
-from repro.obs.tracer import TraceContext, Tracer
+from repro.obs.tracer import TIMER, TraceContext, Tracer
 from repro.serve.client import Reply, ServeClient, ServeClientError
 from repro.serve.http import ReproServer
 from repro.serve.jobs import (
@@ -316,11 +320,9 @@ class RouterManager:
                     headers={"X-Repro-Trace-Id": job.trace_id},
                 )
             )
-        started = time.perf_counter()
-        responses = fanout(requests)
-        self.metrics.observe(
-            "router.submit_seconds", time.perf_counter() - started
-        )
+        with TIMER.span("router.submit") as span:
+            responses = fanout(requests)
+        self.metrics.observe("router.submit_seconds", span.duration)
         retry: list[_Part] = []
         for part, response in zip(parts, responses):
             self.metrics.observe(
@@ -435,11 +437,9 @@ class RouterManager:
         ]
         if not live:
             return
-        started = time.perf_counter()
-        responses = self._fan(f"{p.url}/v1/jobs/{p.job_id}" for p in live)
-        self.metrics.observe(
-            "router.poll_seconds", time.perf_counter() - started
-        )
+        with TIMER.span("router.poll") as span:
+            responses = self._fan(f"{p.url}/v1/jobs/{p.job_id}" for p in live)
+        self.metrics.observe("router.poll_seconds", span.duration)
         for part, response in zip(live, responses):
             doc = response.json() if response.ok else None
             if doc is None:

@@ -22,6 +22,14 @@ Typical use::
 
 The CLI exposes the same workflow as ``repro check model.smv
 --trace out.json --profile``.
+
+Every duration the program reports is read from a span, or from a
+measurement a span already took (a result's ``stats.user_time``).  A
+served job's 32-hex ``trace_id`` is minted at ``POST /v1/check``,
+carried on each of its event-log records and stamped on every span,
+worker-process spans included; every job records its span tree
+(``GET /v1/jobs/<id>/trace``).  ``repro obs tail|summary EVENTS.jsonl``
+renders the event log.
 """
 
 from repro.obs.tracer import (

@@ -1,16 +1,13 @@
-"""Structured, leveled JSONL event log with context binding and redaction.
+"""Structured, leveled JSONL event log with redaction.
 
 Spans (:mod:`repro.obs.tracer`) answer *how long* each stage of a
 request took; the event log answers *what happened*: one JSON object
 per line, machine-readable, safe to tail in production.  Three design
 points:
 
-* **per-request context binding** — :meth:`EventLog.bind` pushes fields
-  (``trace_id``, ``job_id``) onto a :mod:`contextvars` context, so every
-  event emitted inside the block carries them without each call site
-  threading identifiers around.  Context variables isolate bindings per
-  thread, which is what the serving stack needs: HTTP handler threads
-  and the job runner thread each bind their own request.
+* **explicit request identity** — every serving-stack event passes its
+  ``trace_id`` and ``job_id`` as fields, so a record carries them
+  whichever thread emitted it.
 * **secret-free redaction** — submitted SMV module text is user data and
   never appears in the log: any field named like model source
   (:data:`REDACTED_FIELDS`) is replaced by its digest via
@@ -34,14 +31,11 @@ render a written log back for humans (:func:`read_events`,
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
 import io
 import json
 import threading
 import time
-from collections.abc import Iterator
-from contextlib import contextmanager
 from pathlib import Path
 
 __all__ = [
@@ -61,12 +55,6 @@ LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
 #: Field names whose values are model text, never logged verbatim.
 REDACTED_FIELDS = frozenset({"source", "smv", "smv_source", "module_text"})
-
-#: Per-context bound fields (trace_id, job_id, ...).
-_BOUND: contextvars.ContextVar[dict] = contextvars.ContextVar(
-    "repro_log_bound", default={}
-)
-
 
 def source_digest(text: str) -> str:
     """A compact, non-reversible stand-in for module text.
@@ -153,25 +141,6 @@ class EventLog:
             self._stream = None
             self._path = None
 
-    # -- context binding -------------------------------------------------
-    @contextmanager
-    def bind(self, **fields) -> Iterator[None]:
-        """Attach ``fields`` to every event emitted inside the block.
-
-        Bindings nest (inner blocks extend outer ones) and are isolated
-        per thread / asyncio task via :mod:`contextvars`.
-        """
-        token = _BOUND.set({**_BOUND.get(), **fields})
-        try:
-            yield
-        finally:
-            _BOUND.reset(token)
-
-    @staticmethod
-    def bound() -> dict:
-        """The currently bound fields (empty when nothing is bound)."""
-        return dict(_BOUND.get())
-
     # -- emission --------------------------------------------------------
     def event(self, name: str, level: str = "info", **fields) -> None:
         """Emit one event; a no-op below the threshold or with no sink."""
@@ -181,7 +150,6 @@ class EventLog:
         if severity < self._threshold or not self.enabled:
             return
         record = {"ts": self._clock(), "level": level, "event": name}
-        record.update(_BOUND.get())
         record.update(redact_fields(fields))
         line = json.dumps(record, default=str)
         with self._lock:

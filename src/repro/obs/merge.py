@@ -1,7 +1,7 @@
 """Stitching worker span trees into the parent process's trace.
 
 The parallel engine's workers record their own span trees (on their own
-``perf_counter`` clocks) and ship them to the parent as the JSONL record
+tracer clocks) and ship them to the parent as the JSONL record
 layout of :func:`repro.obs.export.to_jsonl_records`.
 :func:`graft_records` rebuilds :class:`~repro.obs.tracer.Span` objects
 from those records, tags every span with the worker ``pid``, rebases the

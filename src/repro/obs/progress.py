@@ -43,6 +43,14 @@ multiprocessing queue created alongside the pool
 ``key``); in-process checks publish straight to the configured sink.
 :class:`ProgressPrinter` renders the stream as one-line updates with
 fixpoint tick rates (``repro check --progress``).
+
+Every served job has a bus.  The serving layer folds its events into a
+per-obligation state machine on the job document (states only ever
+advance) and streams them as SSE at ``GET /v1/jobs/<id>/events``
+(``Last-Event-ID`` resume, ``?poll=<seconds>`` long-poll); a watchdog
+flags a ``running`` obligation silent past ``repro serve
+--stall-deadline``.  ``repro submit MODEL --url ... --progress``
+renders the same stream over SSE.
 """
 
 from __future__ import annotations

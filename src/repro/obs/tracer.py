@@ -46,6 +46,7 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "TRACER",
+    "TIMER",
     "enable_tracing",
     "disable_tracing",
     "tracing",
@@ -250,6 +251,14 @@ class Tracer:
 #: Process-wide default tracer used by the instrumented pipeline.
 #: Disabled at import time: hot paths pay one ``TRACER.enabled`` check.
 TRACER = Tracer(enabled=False)
+
+#: A tracer that is never enabled.  Its spans time a region without
+#: recording it, and a disabled tracer touches no shared state, so any
+#: thread may use it.  Timers that feed a histogram but no trace (an
+#: HTTP exchange, the accept stage, a router fan-out, a peer fetch) take
+#: their spans from it, not from :data:`TRACER`, which ``repro check
+#: --trace`` and tests enable.
+TIMER = Tracer(enabled=False)
 
 
 def enable_tracing(reset: bool = True) -> Tracer:

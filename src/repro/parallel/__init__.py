@@ -15,6 +15,16 @@ Entry points:
   through a shared N-worker pool;
 * ``repro check --jobs N model.smv SPEC...`` — batch property checks;
 * :class:`ObligationScheduler` / :func:`shared_scheduler` — direct use.
+
+Typical direct use::
+
+    from repro.parallel import ObligationScheduler, WorkItem
+    from repro.parallel import spec_of_component
+
+    items = [WorkItem(system=spec_of_component(c), formula=f,
+                      engine='symbolic') for c in components]
+    with ObligationScheduler(jobs=4) as pool:
+        results = pool.map_results(items)  # submission order
 """
 
 from repro.parallel.pool import (

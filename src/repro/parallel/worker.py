@@ -219,24 +219,24 @@ def run_work_item(item: WorkItem, batch: int | None = None) -> WorkOutcome:
             # heartbeat-free sleep: the watchdog must flag this item
             time.sleep(float(stall))
     try:
-        t0 = time.perf_counter()
         root_attrs = dict(
             label=item.label, engine=item.engine, formula=str(item.formula)
         )
         if item.trace_id:
             root_attrs["trace_id"] = item.trace_id
-        with TRACER.span("worker.item", category="parallel", **root_attrs):
+        with TRACER.span("worker.item", category="parallel", **root_attrs) as span:
             checker, cached = checker_for(
                 item.system, item.engine, item.expand_to, batch
             )
-            t1 = time.perf_counter()
+            compile_seconds = span.elapsed()
             bdd_before = (
                 checker.bdd.stats.snapshot()
                 if hasattr(checker, "bdd")
                 else None
             )
             result = checker.holds(item.formula, item.restriction)
-            t2 = time.perf_counter()
+        # the checker took this from its own check span
+        check_seconds = result.stats.user_time
         bdd = None
         if bdd_before is not None:
             delta = checker.bdd.stats.delta(bdd_before)
@@ -269,15 +269,15 @@ def run_work_item(item: WorkItem, batch: int | None = None) -> WorkOutcome:
                 "obligation.finish",
                 holds=bool(result.holds),
                 cached=cached,
-                seconds=round(t2 - t1, 6),
+                seconds=round(check_seconds, 6),
             )
         return WorkOutcome(
             result=result,
             label=item.label,
             pid=os.getpid(),
             cached=cached,
-            compile_seconds=t1 - t0,
-            check_seconds=t2 - t1,
+            compile_seconds=compile_seconds,
+            check_seconds=check_seconds,
             bdd=bdd,
             spans=spans,
             wall_origin=wall_origin,

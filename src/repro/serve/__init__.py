@@ -17,7 +17,13 @@ Entry points:
   the service;
 * ``repro submit model.smv --url http://host:8123`` — the thin client;
 * :func:`create_server` / :class:`JobManager` / :class:`ServeClient` —
-  library use.
+  library use::
+
+      from repro.serve import ServeClient, create_server
+
+      server = create_server(port=8123, jobs=4, store=store)
+      job = ServeClient('http://127.0.0.1:8123').check(
+          [{'source': source}])
 """
 
 from repro.serve.client import ServeClient

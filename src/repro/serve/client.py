@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from repro.errors import ReproError
+from repro.obs.tracer import TIMER
 
 __all__ = ["Reply", "ServeClient", "ServeClientError", "exchange"]
 
@@ -98,17 +99,17 @@ def exchange(
     a timeout); any status, 4xx and 5xx included, is a reply.
     """
     reply = Reply()
-    started = time.perf_counter()
-    try:
-        with _open(url, method, payload, headers, timeout) as response:
-            reply.status = response.status
-            reply.headers = response.headers
-            reply.body = response.read()
-    except TimeoutError:
-        reply.error = f"timed out after {timeout:g} s"
-    except (OSError, http.client.HTTPException, ValueError) as exc:
-        reply.error = f"{type(exc).__name__}: {exc}"
-    reply.seconds = time.perf_counter() - started
+    with TIMER.span("http.exchange") as span:
+        try:
+            with _open(url, method, payload, headers, timeout) as response:
+                reply.status = response.status
+                reply.headers = response.headers
+                reply.body = response.read()
+        except TimeoutError:
+            reply.error = f"timed out after {timeout:g} s"
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            reply.error = f"{type(exc).__name__}: {exc}"
+    reply.seconds = span.duration
     return reply
 
 
@@ -263,7 +264,7 @@ class ServeClient:
         :func:`repro.obs.export.to_jsonl_records` — worker-process spans
         included, every one carrying the job's ``trace_id`` attribute.
         Raises :class:`ServeClientError` with status 409 while the job
-        is still running, 404 when tracing is disabled server-side.
+        is still running, 404 for an unknown job.
         """
         result = self._request("GET", f"/v1/jobs/{job_id}/trace")
         assert isinstance(result, dict)

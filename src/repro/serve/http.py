@@ -19,8 +19,8 @@ repo.  Endpoints:
                                 layout), including worker-process spans
                                 grafted under the request — every span
                                 carries the job's ``trace_id``.  ``409``
-                                until the job is terminal, ``404`` when
-                                request tracing is disabled.
+                                until the job is terminal; a job cancelled
+                                while queued has no spans.
 ``GET /v1/jobs/<id>/events``    Live progress stream.  By default a
                                 ``text/event-stream`` SSE response: one
                                 frame per progress event (``id:`` is the
@@ -35,7 +35,6 @@ repo.  Endpoints:
                                 document with the events past ``since``
                                 (blocking up to the given seconds) — for
                                 clients that cannot hold a stream open.
-                                ``404`` when progress is disabled.
 ``DELETE /v1/jobs/<id>``        Cancel — only jobs still queued (``409``
                                 otherwise).
 ``GET /v1/store/<fp>``          This shard's *local* store record for a
@@ -75,12 +74,11 @@ import json
 import re
 import signal
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.export import build_info
-from repro.obs.tracer import TraceContext
+from repro.obs.tracer import TIMER, TraceContext
 from repro.serve.jobs import (
     JobManager,
     JobRequest,
@@ -324,7 +322,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _post(self) -> None:
         if self.path != "/v1/check":
             raise ServeError(404, {"error": f"no route {self.path}"})
-        accept_started = time.perf_counter()
+        with TIMER.span("serve.accept") as accept:
+            accepted = self._accept()
+        self.server.manager.metrics.observe(
+            "request.stage.accept_seconds", accept.duration
+        )
+        self._send_json(
+            202, accepted, headers={"X-Repro-Trace-Id": accepted["trace_id"]}
+        )
+
+    def _accept(self) -> dict:
+        """Parse the ``POST /v1/check`` body and submit it to the manager."""
         body = self._read_body()
         manager = self.server.manager
         try:
@@ -333,7 +341,7 @@ class _Handler(BaseHTTPRequestHandler):
             # so a rejected submission still has an id to log against.
             # A router fronting this shard sends the authoritative id in
             # the X-Repro-Trace-Id header; standalone submissions mint.
-            accepted = manager.accept(
+            return manager.accept(
                 requests,
                 timeout=timeout,
                 trace=_inbound_trace(self.headers.get("X-Repro-Trace-Id")),
@@ -348,13 +356,6 @@ class _Handler(BaseHTTPRequestHandler):
             ) from None
         except (ValueError, TypeError, KeyError) as exc:
             raise ServeError(400, {"error": str(exc)}) from None
-        manager.metrics.observe(
-            "request.stage.accept_seconds",
-            time.perf_counter() - accept_started,
-        )
-        self._send_json(
-            202, accepted, headers={"X-Repro-Trace-Id": accepted["trace_id"]}
-        )
 
     def _delete(self) -> None:
         if not self.path.startswith("/v1/jobs/"):

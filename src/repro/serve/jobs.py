@@ -30,13 +30,15 @@ Observability (request-scoped, cross-process):
   back sharing the job's trace id), report serialization — and the
   flattened span records are kept on the job for ``GET
   /v1/jobs/<id>/trace``;
-* per-stage wall times land in ``job.timings`` (part of the job
-  document) and in latency histograms on the manager's registry
+* per-stage times land in ``job.timings`` (part of the job document)
+  and in latency histograms on the manager's registry
   (``request.duration_seconds`` and ``request.stage.*``), rendered as
-  Prometheus histogram series at ``/metrics``;
+  Prometheus histogram series at ``/metrics``; the check, serialize
+  and cache-probe stages are sums over the job's spans;
+* every job has a progress bus and obligation table from submission;
 * lifecycle transitions emit structured events on the
-  :data:`~repro.obs.log.LOG` event log (trace/job ids bound, module
-  text redacted to digests).
+  :data:`~repro.obs.log.LOG` event log (each carrying the trace and job
+  ids, module text redacted to digests).
 """
 
 from __future__ import annotations
@@ -144,15 +146,16 @@ class Job:
     #: Request trace identity (``TraceContext.trace_id``); every span
     #: recorded for this job — including worker-process spans — carries it.
     trace_id: str = ""
-    #: Per-stage wall times (``queue_wait_seconds``, ``check_seconds``,
+    #: Per-stage times (``queue_wait_seconds``, ``check_seconds``,
     #: ``cache_probe_seconds``, ``serialize_seconds``, ``total_seconds``),
-    #: filled when the job finishes.
+    #: filled when the job finishes; the check, serialize and probe
+    #: stages are summed from the job's span tree.
     timings: dict | None = None
     #: Flattened span records (the JSONL layout of
     #: :func:`repro.obs.export.to_jsonl_records`) for ``GET
-    #: /v1/jobs/<id>/trace``; ``None`` until the job finishes or when
-    #: request tracing is disabled.
-    trace: list[dict] | None = None
+    #: /v1/jobs/<id>/trace``; filled when the job finishes, empty for a
+    #: job cancelled while queued.
+    trace: list[dict] = field(default_factory=list)
     #: Wall-clock time (``time.time`` axis) of the trace records' zero
     #: offset — the same convention pool workers report, which lets a
     #: *router* graft this shard's span tree onto its own tracer clock
@@ -161,13 +164,14 @@ class Job:
     trace_wall_origin: float = 0.0
     #: Live progress event bus (``GET /v1/jobs/<id>/events``); created
     #: at submission, closed when the job reaches a terminal state.
-    #: ``None`` when progress is disabled server-side.
-    progress: ProgressBus | None = field(default=None, repr=False)
+    progress: ProgressBus = field(default_factory=ProgressBus, repr=False)
     #: Per-obligation state machine, keyed by obligation name
     #: (``c<check>.spec<n>``): ``state`` walks ``pending → running →
     #: done|cached|failed`` monotonically; ``stalled`` is an orthogonal
-    #: flag the watchdog sets (and a fresh heartbeat clears).
-    obligations: dict[str, dict] | None = None
+    #: flag the watchdog sets (and a fresh heartbeat clears).  An
+    #: obligation checked here carries ``seconds``, its report's
+    #: ``stats.user_time`` rounded to the microsecond.
+    obligations: dict[str, dict] = field(default_factory=dict)
     #: Which cluster shard executed this job (``host:port``); empty for
     #: a standalone instance.  Surfaced in the job document and stamped
     #: on progress events so SSE consumers can attribute work.
@@ -177,10 +181,8 @@ class Job:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    def obligations_public(self) -> dict | None:
+    def obligations_public(self) -> dict:
         """The obligation table without bookkeeping fields."""
-        if self.obligations is None:
-            return None
         return {
             name: {
                 key: value
@@ -203,9 +205,7 @@ class Job:
             "trace_id": self.trace_id,
             "timings": self.timings,
             "obligations": self.obligations_public(),
-            "progress_events": (
-                self.progress.last_seq if self.progress is not None else None
-            ),
+            "progress_events": self.progress.last_seq,
             "shard": self.shard or None,
         }
 
@@ -229,20 +229,10 @@ class JobManager:
         Registry for ``serve.*`` counters and ``request.*`` latency
         histograms (shared with the store so ``/metrics`` renders one
         coherent document).
-    trace_requests:
-        Record a per-job span trace (including grafted worker spans) and
-        keep it on the job for ``GET /v1/jobs/<id>/trace``.  On by
-        default; turn off (``repro serve --no-request-traces``) to shed
-        the recording overhead under extreme load.
     log:
         Structured event log for job lifecycle events; defaults to the
         process-wide :data:`~repro.obs.log.LOG` (silent until
         :func:`~repro.obs.log.configure_log` gives it a sink).
-    progress:
-        Stream live per-obligation progress (``GET
-        /v1/jobs/<id>/events``, the job document's ``obligations``
-        table, the stall watchdog).  On by default; ``repro serve
-        --no-progress`` turns it off.
     progress_interval:
         Minimum seconds between heartbeat ticks from inside the
         engines' fixpoint loops.
@@ -266,9 +256,7 @@ class JobManager:
         store: ResultStore | None = None,
         default_timeout: float | None = 300.0,
         metrics: MetricsRegistry | None = None,
-        trace_requests: bool = True,
         log: EventLog | None = None,
-        progress: bool = True,
         progress_interval: float = DEFAULT_INTERVAL,
         stall_deadline: float | None = 30.0,
         shard_id: str = "",
@@ -278,9 +266,7 @@ class JobManager:
         self.shard_id = shard_id
         self.default_timeout = default_timeout
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.trace_requests = trace_requests
         self.log = log if log is not None else LOG
-        self.progress_enabled = progress
         self.progress_interval = progress_interval
         self.stall_deadline = stall_deadline
         # pre-registered so /metrics always renders the gauge, stalls or not
@@ -312,10 +298,8 @@ class JobManager:
                 target=self._run_loop, name="repro-serve-runner", daemon=True
             )
             self._runner.start()
-        if (
-            self.progress_enabled
-            and self.stall_deadline  # None or 0 both disable the watchdog
-            and (self._watchdog is None or not self._watchdog.is_alive())
+        if self.stall_deadline and (  # None or 0 both disable the watchdog
+            self._watchdog is None or not self._watchdog.is_alive()
         ):
             self._watchdog_stop.clear()
             self._watchdog = threading.Thread(
@@ -384,10 +368,6 @@ class JobManager:
             trace_id=ctx.trace_id,
             shard=self.shard_id,
         )
-        if self.progress_enabled:
-            # created at submission so /events can attach while queued
-            job.progress = ProgressBus()
-            job.obligations = {}
         with self._lock:
             self._jobs[job.id] = job
         try:
@@ -439,11 +419,10 @@ class JobManager:
                 self.log.event(
                     "job.cancelled", trace_id=job.trace_id, job_id=job.id
                 )
-                if job.progress is not None:
-                    self._on_progress(
-                        job, {"kind": "job.state", "state": "cancelled"}
-                    )
-                    job.progress.close()
+                self._on_progress(
+                    job, {"kind": "job.state", "state": "cancelled"}
+                )
+                job.progress.close()
                 self._retire(job)
             return job.state
 
@@ -492,14 +471,6 @@ class JobManager:
                     "error": "trace available once the job is terminal",
                 },
             )
-        if job.trace is None:
-            raise ServeError(
-                404,
-                {
-                    "id": job.id,
-                    "error": "request tracing is disabled on this server",
-                },
-            )
         return {
             "id": job.id,
             "trace_id": job.trace_id,
@@ -513,11 +484,6 @@ class JobManager:
     def job_events(self, job_id: str):
         """The job's progress bus and a current-state callable."""
         job = self._known(job_id)
-        if job.progress is None:
-            raise ServeError(
-                404,
-                {"id": job.id, "error": "progress is disabled on this server"},
-            )
         return job.progress, lambda: job.state
 
     def cancel_job(self, job_id: str) -> dict:
@@ -615,10 +581,8 @@ class JobManager:
                 "jobs": self.jobs,
                 "queue_size": self._queue.maxsize,
                 "default_timeout_seconds": self.default_timeout,
-                "progress": self.progress_enabled,
                 "progress_interval_seconds": self.progress_interval,
                 "stall_deadline_seconds": self.stall_deadline,
-                "trace_requests": self.trace_requests,
             },
         }
 
@@ -651,199 +615,173 @@ class JobManager:
         )
         # A private tracer per job: request traces must not touch the
         # process-wide TRACER (the runner thread would race CLI/library
-        # tracing in the same process).  When it records, the scheduler
-        # flags worker-side span recording and grafts the worker trees
-        # back under the open check span, all sharing job.trace_id.
-        tracer = Tracer(enabled=self.trace_requests)
+        # tracing in the same process).  The scheduler flags worker-side
+        # span recording and grafts the worker trees back under the open
+        # check span, all sharing job.trace_id.
+        tracer = Tracer(enabled=True)
         state = "failed"  # unless the checks below all complete
-        check_seconds = 0.0
-        serialize_seconds = 0.0
         reports: list[dict] = []
         scheduler = self._scheduler()
-        if job.progress is not None:
-            self._on_progress(job, {"kind": "job.state", "state": "running"})
-            # worker heartbeats drained from the pool queue route here by
-            # job id (the drainer thread calls _on_progress directly)
-            scheduler.subscribe_progress(
-                job.id, lambda event: self._on_progress(job, event)
-            )
-        with self.log.bind(trace_id=job.trace_id, job_id=job.id):
-            self.log.event(
-                "job.started",
-                queue_wait_seconds=round(queue_wait, 6),
+
+        def publish(event: dict) -> None:
+            self._on_progress(job, event)
+
+        publish({"kind": "job.state", "state": "running"})
+        # worker heartbeats drained from the pool queue route here by job
+        # id (the drainer thread calls publish directly)
+        scheduler.subscribe_progress(job.id, publish)
+        self.log.event(
+            "job.started",
+            trace_id=job.trace_id,
+            job_id=job.id,
+            queue_wait_seconds=round(queue_wait, 6),
+            checks=len(job.requests),
+        )
+        try:
+            with tracer.span(
+                "serve.job",
+                category="serve",
+                trace_id=job.trace_id,
+                job_id=job.id,
                 checks=len(job.requests),
-            )
-            try:
-                with tracer.span(
-                    "serve.job",
-                    category="serve",
-                    trace_id=job.trace_id,
-                    job_id=job.id,
-                    checks=len(job.requests),
-                ):
-                    for index, request in enumerate(job.requests):
-                        remaining = None
-                        if deadline is not None:
-                            remaining = deadline - time.monotonic()
-                            if remaining <= 0:
-                                raise ParallelError(
-                                    f"job deadline ({job.timeout:g} s) exceeded"
-                                )
-                        with tracer.span(
-                            "serve.check",
-                            category="serve",
-                            index=index,
-                            label=request.label,
+            ):
+                for index, request in enumerate(job.requests):
+                    remaining = None
+                    if deadline is not None:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            raise ParallelError(
+                                f"job deadline ({job.timeout:g} s) exceeded"
+                            )
+                    with tracer.span(
+                        "serve.check",
+                        category="serve",
+                        index=index,
+                        label=request.label,
+                        engine=request.engine,
+                        trace_id=job.trace_id,
+                    ) as check_span:
+                        run = cached_check(
+                            request.source,
                             engine=request.engine,
+                            reflexive=request.reflexive,
+                            store=self.store,
+                            scheduler=scheduler,
+                            timeout=remaining,
+                            tracer=tracer,
                             trace_id=job.trace_id,
-                        ) as check_span:
-                            progress_cfg = None
-                            if job.progress is not None:
-                                progress_cfg = ProgressConfig(
-                                    publish=(
-                                        lambda event, j=job:
-                                        self._on_progress(j, event)
-                                    ),
-                                    key=job.id,
-                                    prefix=f"c{index}.",
-                                    interval=self.progress_interval,
-                                )
-                            run = cached_check(
-                                request.source,
-                                engine=request.engine,
-                                reflexive=request.reflexive,
-                                store=self.store,
-                                scheduler=scheduler,
-                                timeout=remaining,
-                                tracer=tracer,
-                                trace_id=job.trace_id,
-                                progress=progress_cfg,
-                            )
-                        check_seconds += check_span.duration
-                        with tracer.span(
-                            "serve.serialize", category="serve", index=index
-                        ) as ser_span:
-                            payload = report_payload(
-                                run, with_cache=self.store is not None
-                            )
-                            if request.label:
-                                payload["label"] = request.label
-                        serialize_seconds += ser_span.duration
-                        reports.append(payload)
-                        self.metrics.add(
-                            "serve.specs_checked", len(run.results)
+                            progress=ProgressConfig(
+                                publish=publish,
+                                key=job.id,
+                                prefix=f"c{index}.",
+                                interval=self.progress_interval,
+                            ),
                         )
-                        self.metrics.add("serve.spec_cache_hits", run.hits)
-                        self.log.debug(
-                            "job.check",
-                            index=index,
-                            label=request.label,
-                            engine=request.engine,
-                            specs=len(run.results),
-                            cache_hits=run.hits,
-                            seconds=round(check_span.duration, 6),
+                    with tracer.span(
+                        "serve.serialize", category="serve", index=index
+                    ):
+                        payload = report_payload(
+                            run, with_cache=self.store is not None
                         )
-                job.reports = reports
-                state = "done"
-                self.metrics.add("serve.jobs_completed")
-            except ParallelError as exc:
-                job.error = str(exc)
-                state = "timeout" if "timed out" in str(exc) or "deadline" in str(exc) else "failed"
-                self.metrics.add(
-                    "serve.jobs_timeout"
-                    if state == "timeout"
-                    else "serve.jobs_failed"
-                )
-            except Exception as exc:  # parse/elaboration/check errors
-                job.error = f"{type(exc).__name__}: {exc}"
-                self.metrics.add("serve.jobs_failed")
-            finally:
-                job.finished = time.time()
-                self.metrics.add(
-                    "serve.job_seconds",
-                    (job.finished - (job.started or job.finished)),
-                )
-                self._finish_observations(
-                    job, state, tracer, queue_wait, check_seconds,
-                    serialize_seconds,
-                )
-                if self.store is not None:
-                    try:
-                        self.store.flush_counters()
-                    except OSError:
-                        pass  # sidecar is best-effort; never fail a job
-                # published after the stamping and the counter flush, so
-                # a job seen terminal already carries its timings and
-                # trace, and its counters are on disk
-                job.state = state
-                if job.progress is not None:
-                    scheduler.unsubscribe_progress(job.id)
-                    self._on_progress(
-                        job,
-                        {
-                            "kind": "job.state",
-                            "state": job.state,
-                            "error": job.error,
-                        },
+                        if request.label:
+                            payload["label"] = request.label
+                    reports.append(payload)
+                    self.metrics.add("serve.specs_checked", len(run.results))
+                    self.metrics.add("serve.spec_cache_hits", run.hits)
+                    self.log.debug(
+                        "job.check",
+                        trace_id=job.trace_id,
+                        job_id=job.id,
+                        index=index,
+                        label=request.label,
+                        engine=request.engine,
+                        specs=len(run.results),
+                        cache_hits=run.hits,
+                        seconds=round(check_span.duration, 6),
                     )
-                    job.progress.close()
-                with self._lock:
-                    self._retire(job)
+            job.reports = reports
+            state = "done"
+            self.metrics.add("serve.jobs_completed")
+        except ParallelError as exc:
+            job.error = str(exc)
+            timed_out = "timed out" in str(exc) or "deadline" in str(exc)
+            state = "timeout" if timed_out else "failed"
+            self.metrics.add(
+                "serve.jobs_timeout" if timed_out else "serve.jobs_failed"
+            )
+        except Exception as exc:  # parse/elaboration/check errors
+            job.error = f"{type(exc).__name__}: {exc}"
+            self.metrics.add("serve.jobs_failed")
+        finally:
+            job.finished = time.time()
+            self.metrics.add(
+                "serve.job_seconds",
+                (job.finished - (job.started or job.finished)),
+            )
+            self._finish_observations(job, state, tracer, queue_wait)
+            if self.store is not None:
+                try:
+                    self.store.flush_counters()
+                except OSError:
+                    pass  # sidecar is best-effort; never fail a job
+            # published after the stamping and the counter flush, so a
+            # job seen terminal already carries its timings and trace,
+            # and its counters are on disk
+            job.state = state
+            scheduler.unsubscribe_progress(job.id)
+            publish({"kind": "job.state", "state": state, "error": job.error})
+            job.progress.close()
+            with self._lock:
+                self._retire(job)
 
     def _finish_observations(
-        self,
-        job: Job,
-        state: str,
-        tracer: Tracer,
-        queue_wait: float,
-        check_seconds: float,
-        serialize_seconds: float,
+        self, job: Job, state: str, tracer: Tracer, queue_wait: float
     ) -> None:
-        """Stamp timings/trace on the finished job and feed histograms."""
-        total = (job.finished or 0.0) - job.created
-        probe_seconds = 0.0
-        if tracer.enabled and tracer.roots:
-            probe_seconds = sum(
-                span.duration
-                for span in tracer.spans()
-                if span.name == "store.probe"
-            )
-            job.trace = to_jsonl_records(tracer)
-            # wall time of the records' zero offset, mirroring the
-            # wall_origin convention worker processes report upward
-            job.trace_wall_origin = tracer.epoch_wall + (
-                tracer.start_time - tracer.epoch_perf
-            )
+        """Stamp timings/trace on the finished job and feed histograms.
+
+        The check, serialize and cache-probe stages are sums over the
+        job's recorded spans; queue wait and total are wall stamps.  The
+        histograms and the ``job.done`` line read the same ``timings``.
+        """
+        stages = {"serve.check": 0.0, "serve.serialize": 0.0, "store.probe": 0.0}
+        for span in tracer.spans():
+            if span.name in stages:
+                stages[span.name] += span.duration
+        job.trace = to_jsonl_records(tracer)
+        # wall time of the records' zero offset, mirroring the
+        # wall_origin convention worker processes report upward
+        job.trace_wall_origin = tracer.epoch_wall + (
+            tracer.start_time - tracer.epoch_perf
+        )
         job.timings = {
             "queue_wait_seconds": round(queue_wait, 6),
-            "cache_probe_seconds": round(probe_seconds, 6),
-            "check_seconds": round(check_seconds, 6),
-            "serialize_seconds": round(serialize_seconds, 6),
-            "total_seconds": round(total, 6),
+            "cache_probe_seconds": round(stages["store.probe"], 6),
+            "check_seconds": round(stages["serve.check"], 6),
+            "serialize_seconds": round(stages["serve.serialize"], 6),
+            "total_seconds": round((job.finished or 0.0) - job.created, 6),
         }
-        self.metrics.observe("request.duration_seconds", total)
-        self.metrics.observe("request.stage.queue_wait_seconds", queue_wait)
-        self.metrics.observe("request.stage.check_seconds", check_seconds)
         self.metrics.observe(
-            "request.stage.serialize_seconds", serialize_seconds
+            "request.duration_seconds", job.timings["total_seconds"]
         )
-        if probe_seconds:
-            self.metrics.observe(
-                "request.stage.cache_probe_seconds", probe_seconds
-            )
+        for stage in ("queue_wait", "check", "serialize", "cache_probe"):
+            seconds = job.timings[f"{stage}_seconds"]
+            # a job that never probed the store has no probe stage
+            if seconds or stage != "cache_probe":
+                self.metrics.observe(f"request.stage.{stage}_seconds", seconds)
         event = {
             "done": "job.done",
             "timeout": "job.timeout",
         }.get(state, "job.failed")
-        level = "info" if state == "done" else "error"
         self.log.event(
             event,
-            level=level,
+            level="info" if state == "done" else "error",
+            trace_id=job.trace_id,
+            job_id=job.id,
             state=state,
             error=job.error,
             checks=len(job.requests),
-            spans=len(job.trace) if job.trace else 0,
-            **{k: v for k, v in job.timings.items()},
+            spans=len(job.trace),
+            **job.timings,
         )
 
     # -- live progress ---------------------------------------------------
@@ -878,13 +816,11 @@ class JobManager:
         invariant /events consumers rely on.
         """
         bus = job.progress
-        if bus is None:
-            return
         if self.shard_id:
             event.setdefault("shard", self.shard_id)
         kind = str(event.get("kind", ""))
         name = event.get("obligation")
-        if name and job.obligations is not None:
+        if name:
             with self._lock:
                 entry = job.obligations.get(name)
                 if entry is None:
@@ -952,7 +888,7 @@ class JobManager:
             for job in live:
                 stalls: list[tuple[str, float]] = []
                 with self._lock:
-                    for name, entry in (job.obligations or {}).items():
+                    for name, entry in job.obligations.items():
                         if entry.get("state") != "running":
                             continue
                         if entry.get("stalled"):
@@ -971,12 +907,11 @@ class JobManager:
                         idle_seconds=round(idle, 3),
                         deadline=deadline,
                     )
-                    if job.progress is not None:
-                        job.progress.publish(
-                            {
-                                "kind": "obligation.stall",
-                                "obligation": name,
-                                "idle_seconds": round(idle, 3),
-                                "deadline": deadline,
-                            }
-                        )
+                    job.progress.publish(
+                        {
+                            "kind": "obligation.stall",
+                            "obligation": name,
+                            "idle_seconds": round(idle, 3),
+                            "deadline": deadline,
+                        }
+                    )

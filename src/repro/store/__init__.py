@@ -25,6 +25,19 @@ Entry points:
 * :func:`spec_fingerprint` / :func:`report_fingerprint` /
   :func:`obligation_fingerprint` / :func:`proof_fingerprint` — the
   canonical request fingerprints.
+
+Typical use::
+
+    from repro.store import ResultStore, cached_check
+
+    store = ResultStore('.repro-cache')
+    run = cached_check(source, store=store)   # cold: checks
+    run = cached_check(source, store=store)   # warm: replays
+    print(run.format())                       # byte-identical
+
+A check answered entirely from the store leaves its parsed model and
+fingerprints in a bounded memo, so the same text checked again skips
+the front end; its verdicts still come from the store records.
 """
 
 from repro.store.cached import CachedRun, cached_check

@@ -22,6 +22,20 @@ replayed.  :meth:`ObligationCache.seal` writes a proof-level record
 keyed by :func:`~repro.store.fingerprint.proof_fingerprint` over the
 ledger's fingerprint multiset and flushes the store's counters, so
 ``repro store stats`` sees the run.
+
+Typical use::
+
+    from repro.casestudies.afs2 import Afs2
+    from repro.store import ResultStore
+
+    store = ResultStore('.repro-cache')
+    Afs2(3, store=store).prove_safety()          # cold: 4 checks
+    pf, _ = Afs2(3, store=store).prove_safety()  # warm: replay
+    pf.cache_ledger()['hits']                    # -> 4
+    pf.seal_cache()                              # proof-level record
+
+or ``repro demo afs2-safety --cache DIR`` (the stderr summary prints
+the hit/miss split).
 """
 
 from __future__ import annotations

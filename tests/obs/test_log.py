@@ -2,7 +2,6 @@
 
 import io
 import json
-import threading
 
 import pytest
 
@@ -56,38 +55,6 @@ class TestEmission:
             log.event("x", level="loud")
         with pytest.raises(ValueError):
             EventLog(level="loud")
-
-
-class TestBinding:
-    def test_bound_fields_attach_to_every_event(self):
-        log, stream = make_log()
-        with log.bind(trace_id="t1", job_id="j1"):
-            log.event("inner")
-        log.event("outer")
-        inner, outer = events_of(stream)
-        assert inner["trace_id"] == "t1" and inner["job_id"] == "j1"
-        assert "trace_id" not in outer
-
-    def test_bindings_nest(self):
-        log, stream = make_log()
-        with log.bind(trace_id="t1"):
-            with log.bind(job_id="j1"):
-                log.event("deep")
-        (record,) = events_of(stream)
-        assert record["trace_id"] == "t1" and record["job_id"] == "j1"
-
-    def test_bindings_are_thread_isolated(self):
-        log, stream = make_log()
-        seen = {}
-
-        def worker():
-            seen["in_thread"] = log.bound()
-
-        with log.bind(trace_id="t1"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert seen["in_thread"] == {}  # the other thread saw no binding
 
 
 class TestRedaction:

@@ -245,6 +245,24 @@ class TestEngineHeartbeats:
         assert ticks, "no heartbeat from inside the explicit fixpoints"
         assert {t["phase"] for t in ticks} <= {"eu", "eg", "eg_fair"}
 
+    def test_finish_seconds_are_the_checks_user_time(self):
+        """In process, ``obligation.finish`` reports the checker's own
+        measurement, the ``user_time`` of the spec's result."""
+        from repro.store.cached import cached_check
+
+        events = []
+        config = ProgressConfig(publish=events.append, interval=0.0)
+        run = cached_check(TOGGLE, engine="symbolic", progress=config)
+        finished = {
+            e["obligation"]: e["seconds"]
+            for e in events
+            if e["kind"] == "obligation.finish"
+        }
+        assert finished == {
+            config.obligation(i): round(result.stats.user_time, 6)
+            for i, result in enumerate(run.results)
+        }
+
     def test_no_progress_config_emits_nothing(self):
         from repro.store.cached import cached_check
 

@@ -322,23 +322,6 @@ class TestObservabilityEndpoints:
             server.server_close()
             manager.stop()
 
-    def test_trace_endpoint_404_when_tracing_disabled(self, tmp_path):
-        manager = JobManager(jobs=1, queue_size=4, trace_requests=False)
-        server = create_server(manager=manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        client = ServeClient(f"http://127.0.0.1:{server.port}")
-        try:
-            job = client.check(GOOD)
-            assert job["state"] == "done"
-            with pytest.raises(ServeClientError) as exc:
-                client.job_trace(job["id"])
-            assert exc.value.status == 404
-        finally:
-            server.shutdown()
-            server.server_close()
-            manager.stop()
-
     def test_trace_endpoint_unknown_job(self, service):
         _, _, client = service
         with pytest.raises(ServeClientError) as exc:

@@ -14,6 +14,15 @@ SPEC x -> AX x
 
 BROKEN = "MODULE main\nVAR x : nonsense_type;\n"
 
+THREE = """
+MODULE main
+VAR x : boolean;
+ASSIGN next(x) := !x;
+SPEC AG EF x
+SPEC AG EF !x
+SPEC AG (x -> AX !x)
+"""
+
 
 @pytest.fixture
 def manager(tmp_path):
@@ -195,20 +204,6 @@ class TestRequestObservability:
         assert doc["timings"] == job.timings
         assert "trace" not in doc
 
-    def test_trace_requests_off_skips_recording(self, tmp_path):
-        manager = JobManager(
-            jobs=1, queue_size=2, store=ResultStore(tmp_path),
-            trace_requests=False,
-        )
-        manager.start()
-        try:
-            job = _wait(manager, manager.submit([JobRequest(source=GOOD)]))
-            assert job.state == "done"
-            assert job.trace is None
-            assert job.timings is not None  # stage timers still run
-        finally:
-            manager.stop()
-
     def test_submitted_trace_context_is_used(self, manager):
         from repro.obs.tracer import TraceContext
 
@@ -227,6 +222,59 @@ class TestRequestObservability:
         assert hists["request.duration_seconds"].count == 2
         assert hists["request.stage.check_seconds"].count == 2
         assert hists["request.stage.queue_wait_seconds"].count == 2
+
+    def test_stage_timings_are_span_sums(self, manager):
+        manager.start()
+        job = _wait(
+            manager,
+            manager.submit([JobRequest(source=GOOD), JobRequest(source=THREE)]),
+        )
+        assert job.state == "done"
+        assert set(job.timings) == {
+            "queue_wait_seconds",
+            "cache_probe_seconds",
+            "check_seconds",
+            "serialize_seconds",
+            "total_seconds",
+        }
+        for key, name in (
+            ("check_seconds", "serve.check"),
+            ("serialize_seconds", "serve.serialize"),
+            ("cache_probe_seconds", "store.probe"),
+        ):
+            spans = [r for r in job.trace if r["name"] == name]
+            assert len(spans) == 2
+            # the records keep microseconds to three places; timings to six
+            total = sum(r["dur_us"] for r in spans) / 1e6
+            assert job.timings[key] == pytest.approx(total, abs=2e-6)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_obligation_seconds_are_report_user_time(self, tmp_path, jobs):
+        """An obligation's ``seconds`` is the checker's own measurement,
+        the ``user_time`` its report carries, not a second timer."""
+        manager = JobManager(
+            jobs=jobs, queue_size=2, store=ResultStore(tmp_path)
+        )
+        manager.start()
+        try:
+            job = _wait(
+                manager,
+                manager.submit(
+                    [JobRequest(source=THREE), JobRequest(source=GOOD)]
+                ),
+            )
+        finally:
+            manager.stop()
+        assert job.state == "done"
+        checked = 0
+        for index, report in enumerate(job.reports):
+            for n, spec in enumerate(report["specs"]):
+                assert not spec["cached"]
+                entry = job.obligations[f"c{index}.spec{n}"]
+                assert entry["state"] == "done"
+                assert entry["seconds"] == round(spec["stats"]["user_time"], 6)
+                checked += 1
+        assert checked == 4
 
     def test_event_log_records_lifecycle(self, tmp_path):
         import io

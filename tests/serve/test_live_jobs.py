@@ -147,16 +147,6 @@ class TestEventStream:
                 list(client.iter_events("deadbeef"))
             assert exc.value.status == 404
 
-    def test_progress_disabled_turns_events_off(self):
-        with service(progress=False) as (manager, client):
-            job = client.check(TOGGLE)
-            assert job["state"] == "done"
-            assert job["obligations"] is None
-            assert job["progress_events"] is None
-            with pytest.raises(ServeClientError) as exc:
-                list(client.iter_events(job["id"]))
-            assert exc.value.status == 404
-
     def test_cache_hits_show_as_cached_state(self, tmp_path):
         with service(store=ResultStore(tmp_path)) as (manager, client):
             client.check(TOGGLE)
@@ -366,10 +356,8 @@ class TestOperationalSurface:
                 "jobs": 2,
                 "queue_size": 8,
                 "default_timeout_seconds": 45.0,
-                "progress": True,
                 "progress_interval_seconds": 0.0,
                 "stall_deadline_seconds": 7.5,
-                "trace_requests": True,
             }
 
     def test_metrics_include_build_info_gauge(self):

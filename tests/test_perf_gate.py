@@ -73,6 +73,35 @@ class TestBounds:
         assert fails == [] and rows[0]["change"] == 110.0
 
 
+class TestNoise:
+    def test_rows_carry_each_sides_range(self):
+        change = {"w": [summary(verdict_p50_ms=ms, verdicts_per_s=50.0)
+                        for ms in (90.0, 110.0, 100.0)]}
+        rows, _ = perf_gate.verdict(BENCHMARK, runs(), change)
+        assert rows[0]["parent_range"] == [100.0, 100.0]
+        assert rows[0]["change_range"] == [90.0, 110.0]
+        assert "90.000-110.000" in perf_gate.table(rows)
+
+    def test_parent_spread_wider_than_bound_is_unresolved(self):
+        # same median as runs(): spread (130 - 70) / 100 = 0.6 > 0.24
+        noisy = {"w": [summary(verdict_p50_ms=ms, verdicts_per_s=50.0)
+                       for ms in (70.0, 100.0, 130.0)]}
+        rows, fails = perf_gate.verdict(BENCHMARK, noisy, runs())
+        assert [r["unresolved"] for r in rows] == [True, False]
+        assert "unresolved" in perf_gate.table(rows).splitlines()[1]
+        assert fails == []
+        rows, _ = perf_gate.verdict(BENCHMARK, runs(), runs())
+        assert not any(r["unresolved"] for r in rows)
+
+    def test_unresolved_changes_no_failure(self):
+        noisy = {"w": [summary(verdict_p50_ms=ms, verdicts_per_s=50.0)
+                       for ms in (70.0, 100.0, 130.0)]}
+        slower = runs(verdict_p50_ms=125.0)
+        fails = failures(noisy, slower)
+        assert fails == failures(runs(), slower)
+        assert len(fails) == 1 and "verdict_p50_ms" in fails[0]
+
+
 class TestRuns:
     def test_higher_failed_share_fails(self):
         fails = failures(runs(), runs(failed=1))

@@ -23,9 +23,13 @@ The gate fails when, for any workload:
 * the change's share of failed ops is higher than the base's;
 * a run is missing, exits non-zero, or reports ``correct: false``.
 
-It prints each metric's base ("parent") and change medians, their
-ratio and its bound, and writes that table, with every run's summary
-line, to ``.perfbench/perf_gate.json``.  The bounds come from
+It prints each metric's base ("parent") and change medians, each with
+its runs' min–max, their ratio and its bound, and writes that table,
+with every run's summary line, to ``.perfbench/perf_gate.json``.  A row
+is marked ``unresolved`` when the parent's own spread, (max − min) /
+median, is wider than the bound: the runs cannot tell a change of that
+size from noise.  The mark is information only; it changes no
+verdict.  The bounds come from
 ``BENCHMARK.json`` alone: the base rev is the gate's only input.
 """
 
@@ -112,15 +116,20 @@ def verdict(benchmark: dict, parent: dict, change: dict) -> tuple[list, list]:
                 failures.append(f"{workload}: {name} missing from a run")
                 continue
             p, c = (median(values[side]) for side in SIDES)
+            ranges = {side: [min(values[side]), max(values[side])] for side in SIDES}
+            low, high = ranges["parent"]
             row = {
                 "workload": workload,
                 "metric": name,
                 "better": metric["better"],
                 "parent": p,
+                "parent_range": ranges["parent"],
                 "change": c,
+                "change_range": ranges["change"],
                 "ratio": c / p,
                 "bound": metric["bound"],
                 "ok": worse_by(metric, p, c) <= metric["bound"],
+                "unresolved": (high - low) / p > metric["bound"],
             }
             if not row["ok"]:
                 failures.append(
@@ -132,15 +141,22 @@ def verdict(benchmark: dict, parent: dict, change: dict) -> tuple[list, list]:
 
 
 def table(rows: list[dict]) -> str:
+    def side(row: dict, name: str) -> str:
+        low, high = row[f"{name}_range"]
+        return f"{row[name]:>10.3f} {f'{low:.3f}-{high:.3f}':>19}"
+
     lines = [
-        f"{'workload':<14} {'metric':<16} {'parent':>10} {'change':>10} "
-        f"{'ratio':>7} {'bound':>6}  verdict"
+        f"{'workload':<14} {'metric':<16} {'parent':>10} {'min-max':>19} "
+        f"{'change':>10} {'min-max':>19} {'ratio':>7} {'bound':>6}  verdict"
     ]
     for row in rows:
+        mark = "ok" if row["ok"] else "FAIL"
+        if row["unresolved"]:
+            mark += " unresolved"
         lines.append(
-            f"{row['workload']:<14} {row['metric']:<16} {row['parent']:>10.3f} "
-            f"{row['change']:>10.3f} {row['ratio']:>7.3f} {row['bound']:>6.2f}  "
-            f"{'ok' if row['ok'] else 'FAIL'}"
+            f"{row['workload']:<14} {row['metric']:<16} {side(row, 'parent')} "
+            f"{side(row, 'change')} {row['ratio']:>7.3f} {row['bound']:>6.2f}  "
+            f"{mark}"
         )
     return "\n".join(lines)
 
